@@ -29,13 +29,12 @@ type params = {
   zeta : float;  (* utilization for the tilde W/H estimate *)
   flip : flip_strategy;
   max_nodes : int;  (* branch-and-bound budget per axis (Flip_exact) *)
-  time_limit : float;
   debug : bool;  (* print per-axis ILP status on infeasibility *)
 }
 
 let default_params =
   { mu = 0.35; zeta = 0.55; flip = Flip_round; max_nodes = 60;
-    time_limit = 10.0; debug = false }
+    debug = false }
 
 type axis = Place_common.Sep_plan.axis = X_axis | Y_axis
 
@@ -214,7 +213,7 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
     for i = 0 to n - 1 do
       if fvar.(i) >= 0 then kinds.(fvar.(i)) <- I.Binary
     done;
-    I.solve ~max_nodes:p.max_nodes ~time_limit:p.time_limit
+    I.solve ~max_nodes:p.max_nodes
       { I.base = { Sx.n_vars; objective; constraints = base_constraints };
         kinds }
   in
@@ -230,7 +229,7 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
              else []))
     in
     let relax =
-      I.solve ~max_nodes:1 ~time_limit:p.time_limit
+      I.solve ~max_nodes:1
         { I.base =
             { Sx.n_vars; objective; constraints = fbounds @ base_constraints };
           kinds }
@@ -246,7 +245,7 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
                        rhs = (if relax.I.x.(fvar.(i)) > 0.5 then 1.0 else 0.0) } ]
                  else []))
         in
-        I.solve ~max_nodes:1 ~time_limit:p.time_limit
+        I.solve ~max_nodes:1
           { I.base =
               { Sx.n_vars; objective; constraints = pins @ base_constraints };
             kinds }

@@ -12,8 +12,9 @@ type params = {
   mu : float;  (** area weight (Eq. 4a) *)
   zeta : float;  (** utilization factor for the tilde-W/H estimate *)
   flip : flip_strategy;
-  max_nodes : int;  (** branch-and-bound node budget (Flip_exact) *)
-  time_limit : float;
+  max_nodes : int;
+      (** branch-and-bound node budget (Flip_exact); the only stop, so
+          the result never depends on host speed *)
   debug : bool;
       (** print per-axis ILP status to stderr when an axis comes back
           infeasible/unbounded (was the [DP_DEBUG] env var — an

@@ -24,7 +24,7 @@ let is_integral v = abs_float (v -. Float.round v) <= int_tol
 let nodes_counter = Telemetry.Counter.make "ilp.nodes"
 let solves_counter = Telemetry.Counter.make "ilp.solves"
 
-let solve ?(max_nodes = 500) ?(time_limit = 30.0) (p : problem) =
+let solve ?(max_nodes = 500) (p : problem) =
   if Array.length p.kinds <> p.base.Simplex.n_vars then
     invalid_arg "Ilp.solve: kinds size";
   let binary_bounds =
@@ -44,7 +44,6 @@ let solve ?(max_nodes = 500) ?(time_limit = 30.0) (p : problem) =
       }
   in
   Telemetry.Counter.incr solves_counter;
-  let t_start = Telemetry.now () in
   let incumbent = ref None in
   let incumbent_obj = ref infinity in
   let nodes = ref 0 in
@@ -57,10 +56,7 @@ let solve ?(max_nodes = 500) ?(time_limit = 30.0) (p : problem) =
     | [] -> running := false
     | node :: rest ->
         stack := rest;
-        if
-          !nodes >= max_nodes
-          || Telemetry.now () -. t_start > time_limit
-        then begin
+        if !nodes >= max_nodes then begin
           truncated := true;
           stack := []
         end

@@ -12,7 +12,7 @@ type problem = {
 
 type status =
   | Ilp_optimal  (** proved optimal *)
-  | Ilp_feasible  (** node/time limit hit; best incumbent returned *)
+  | Ilp_feasible  (** node budget hit; best incumbent returned *)
   | Ilp_infeasible
   | Ilp_unbounded
 
@@ -23,6 +23,8 @@ type result = {
   nodes : int;  (** LP relaxations solved *)
 }
 
-val solve : ?max_nodes:int -> ?time_limit:float -> problem -> result
-(** Binary variables get an implicit [x <= 1] bound.
+val solve : ?max_nodes:int -> problem -> result
+(** Binary variables get an implicit [x <= 1] bound. The node budget
+    [max_nodes] (default 500) is the only stop, so the result is a
+    function of the problem alone.
     @raise Invalid_argument if [kinds] size mismatches the problem. *)

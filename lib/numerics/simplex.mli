@@ -1,11 +1,23 @@
-(** Dense two-phase primal simplex for linear programs
+(** Two-phase primal simplex for linear programs
 
     {[ minimize c.x  subject to  a_i.x (<= | = | >=) b_i,  x >= 0 ]}
 
     This powers the LP legalization / detailed placement of the prior
     analytical work and the LP relaxations inside the ILP
-    branch-and-bound. Analog problem sizes (hundreds of rows) make a
-    dense tableau the right tradeoff. *)
+    branch-and-bound. Pricing is Dantzig's rule, with Bland's rule
+    after a stall budget.
+
+    The tableau is stored row-major, but the rows it pivots on are
+    sparse (a legalization pivot row is ~6 % nonzero), so a pivot
+    collects the nonzero columns of the scaled pivot row once and
+    updates every other row, and the reduced costs, only there. A Ge
+    row's artificial column is not stored: it starts as the negated
+    slack column, every pivot keeps that invariant
+    (artificial = -slack), and it is read through a negate flag. Both
+    are exact rewrites of the plain dense tableau: the same pivot
+    sequence and the same bits of [x] (a skipped [r - f * 0] can only
+    differ in the sign of a zero). Each call adds its pivots to the
+    [simplex.pivots] telemetry counter. *)
 
 type op = Le | Ge | Eq
 

@@ -101,4 +101,104 @@ let lp_tests =
         | _ -> Alcotest.fail "flow failed");
   ]
 
-let suites = [ ("dp.ilp_invariants", ilp_tests); ("dp.lp_stages", lp_tests) ]
+(* Bit-level goldens of the LP-driven placers. The values were captured
+   with the dense two-phase simplex kernel; any kernel that picks a
+   different optimal vertex (or rounds one entry differently on the way
+   there) changes at least one of these bits. *)
+
+let bits = Int64.bits_of_float
+
+(* one character per device: I(dentity), X, Y or B(oth) mirrored *)
+let orient_string (l : Netlist.Layout.t) =
+  String.init (Array.length l.Netlist.Layout.orients) (fun i ->
+      match l.Netlist.Layout.orients.(i) with
+      | { Geometry.Orient.fx = false; fy = false } -> 'I'
+      | { fx = true; fy = false } -> 'X'
+      | { fx = false; fy = true } -> 'Y'
+      | { fx = true; fy = true } -> 'B')
+
+(* every coordinate's bits folded into one number *)
+let coord_fingerprint (l : Netlist.Layout.t) =
+  let h = ref 17L in
+  let mix v = h := Int64.add (Int64.mul !h 1_000_003L) (bits v) in
+  Array.iter mix l.Netlist.Layout.xs;
+  Array.iter mix l.Netlist.Layout.ys;
+  !h
+
+let check_layout ~area ~hpwl ~orients ~coords (l : Netlist.Layout.t) =
+  Alcotest.(check int64) "area bits" area (bits (Netlist.Layout.area l));
+  Alcotest.(check int64) "hpwl bits" hpwl (bits (Netlist.Layout.hpwl l));
+  Alcotest.(check string) "orientations" orients (orient_string l);
+  Alcotest.(check int64) "coordinate bits" coords (coord_fingerprint l)
+
+let eplace_once name =
+  let params = { Eplace.Eplace_a.default_params with restarts = 1 } in
+  match Eplace.Eplace_a.place ~params (Circuits.Testcases.get_exn name) with
+  | Some r -> r.Eplace.Eplace_a.layout
+  | None -> Alcotest.failf "ePlace-A failed on %s" name
+
+(* a fixed four-island window with frozen pins; every ordering fits *)
+let golden_window () =
+  let module W = Matheuristic.Window_ilp in
+  let items =
+    [| { W.iw = 3.0; ih = 2.0 }; { W.iw = 2.0; ih = 5.0 };
+       { W.iw = 4.0; ih = 1.0 }; { W.iw = 1.0; ih = 3.0 } |]
+  in
+  let on it = { W.p_item = Some it; p_x = 0.5; p_y = 0.5 } in
+  let fixed x y = { W.p_item = None; p_x = x; p_y = y } in
+  {
+    W.items;
+    nets =
+      [
+        { W.n_weight = 1.0; n_pins = [ on 0; on 1; fixed 0.0 4.0 ] };
+        { W.n_weight = 2.0; n_pins = [ on 1; on 2 ] };
+        { W.n_weight = 1.0; n_pins = [ on 2; on 3; fixed 9.0 0.0 ] };
+        { W.n_weight = 1.0; n_pins = [ on 0; on 3 ] };
+      ];
+    frame_w = 25.0;
+    frame_h = 25.0;
+    area_lambda = 0.1;
+  }
+
+let golden_tests =
+  [
+    Alcotest.test_case "ePlace-A, one restart, VCO1: bits pinned" `Quick
+      (fun () ->
+        check_layout ~area:4643755306948963073L ~hpwl:4635419566251165351L
+          ~orients:"BBYYIXYYXIIIIIIIIX" ~coords:(-5988318664871894280L)
+          (eplace_once "VCO1"));
+    Alcotest.test_case "ePlace-A, one restart, Scaled-40: bits pinned" `Quick
+      (fun () ->
+        check_layout ~area:4636568969318563321L ~hpwl:4637603530595463336L
+          ~orients:"IIXIXIXYBIIXXIIIIIIYYIXBXIIXIYYYYIXXXIIIIIIYYIIB"
+          ~coords:(-6427824848201808268L)
+          (eplace_once "Scaled-40"));
+    Alcotest.test_case "prev [11] two-stage LP, Comp1: bits pinned" `Quick
+      (fun () ->
+        let params =
+          { Prevwork.Prev_analytical.default_params with restarts = 1 }
+        in
+        match
+          Prevwork.Prev_analytical.place ~params
+            (Circuits.Testcases.get_exn "Comp1")
+        with
+        | Some r ->
+            check_layout ~area:4629672270987311198L ~hpwl:4627341656350559612L
+              ~orients:"IIIIIIIIIIIIIIII" ~coords:(-1893162270587857388L)
+              r.Prevwork.Prev_analytical.layout
+        | None -> Alcotest.fail "prev [11] failed on Comp1");
+    Alcotest.test_case "window ILP objective: bits pinned" `Quick (fun () ->
+        match Matheuristic.Window_ilp.solve (golden_window ()) with
+        | Some s ->
+            Alcotest.(check int64) "objective bits" 4626379012211684141L
+              (bits s.Matheuristic.Window_ilp.sol_objective);
+            Alcotest.(check int) "nodes" 229 s.Matheuristic.Window_ilp.sol_nodes
+        | None -> Alcotest.fail "window did not solve");
+  ]
+
+let suites =
+  [
+    ("dp.ilp_invariants", ilp_tests);
+    ("dp.lp_stages", lp_tests);
+    ("dp.goldens", golden_tests);
+  ]
