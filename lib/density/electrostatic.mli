@@ -8,7 +8,8 @@ val create : region:Geometry.Rect.t -> nx:int -> ny:int -> t
 
 val compute : t -> Geometry.Rect.t array -> unit
 (** Rebuild the density map from device rectangles and solve for the
-    potential and field. Must be called before [energy]/[grad]. *)
+    field (the potential is synthesised when [energy] first needs it).
+    Must be called before [energy]/[grad]. Allocates nothing. *)
 
 val energy : t -> Geometry.Rect.t array -> float
 (** N(v) = 1/2 sum_i q_i psi(cell_i), the smoothed-overlap objective

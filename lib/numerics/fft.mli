@@ -1,7 +1,10 @@
 (** Radix-2 complex FFT and an FFT-based DCT-II.
 
-    Used as the fast path of the spectral Poisson solver in the
-    electrostatic density model (the Fourier step of ePlace). *)
+    A standalone transform, checked in the test suite against
+    {!Spectral.dct_ii_direct}. The spectral Poisson solver does not use
+    it: at the placer's 32 x 32 grid a length-32 FFT-based DCT costs
+    about as much as the direct basis product, and it rounds
+    differently, which would change every global-placement result. *)
 
 val is_pow2 : int -> bool
 

@@ -196,9 +196,38 @@ let golden_tests =
         | None -> Alcotest.fail "window did not solve");
   ]
 
+(* Bit-level goldens of the two analytical global placers themselves,
+   before any legalizer can absorb a small drift. Captured before the
+   density kernels were made allocation-free; a kernel rewrite that
+   reorders one float operation changes at least one of these bits. *)
+let gp_golden ~iterations ~overflow ~coords name =
+  let r = Eplace.Global_place.run (Circuits.Testcases.get_exn name) in
+  Alcotest.(check int) "iterations" iterations r.Eplace.Global_place.iterations;
+  Alcotest.(check int64) "final overflow bits" overflow
+    (bits r.Eplace.Global_place.final_overflow);
+  Alcotest.(check int64) "coordinate bits" coords
+    (coord_fingerprint r.Eplace.Global_place.layout)
+
+let gp_golden_tests =
+  [
+    Alcotest.test_case "ePlace GP on Adder: bits pinned" `Quick
+      (fun () -> gp_golden ~iterations:118 ~overflow:4583973849275101726L
+          ~coords:(-5054103278434370069L) "Adder");
+    Alcotest.test_case "ePlace GP on VCO2: bits pinned" `Quick
+      (fun () -> gp_golden ~iterations:101 ~overflow:4584143403267357047L
+          ~coords:(-7158962901970839785L) "VCO2");
+    Alcotest.test_case "prev [11] GP on Comp1: bits pinned"
+      `Quick (fun () ->
+        let r = Prevwork.Ntu_gp.run (Circuits.Testcases.get_exn "Comp1") in
+        Alcotest.(check int) "f_evals" 756 r.Prevwork.Ntu_gp.f_evals;
+        Alcotest.(check int64) "coordinate bits" (-7634564603568154649L)
+          (coord_fingerprint r.Prevwork.Ntu_gp.layout));
+  ]
+
 let suites =
   [
     ("dp.ilp_invariants", ilp_tests);
     ("dp.lp_stages", lp_tests);
     ("dp.goldens", golden_tests);
+    ("gp.goldens", gp_golden_tests);
   ]

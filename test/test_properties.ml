@@ -326,6 +326,163 @@ let equivalence_tests =
           (same_as_reference (beale ())));
   ]
 
+(* Reference equivalence of the density kernels: the workspace
+   spectral solve, the cover-based electrostatic model and the
+   table-based bell smoothing against the allocating kernels they
+   replaced ([Density_ref]). Grids are small and mostly non-square;
+   rectangles and devices stick out of the region, are wider than the
+   whole grid, miss it entirely or have zero extent; one instance is
+   reused for several rounds, so stale workspace state (the DC
+   coefficient, a potential from an earlier solve, the normalisation
+   table of a longer device list) would show. Every entry, gradient
+   and value must be [Float.equal], down to the sign of a zero. *)
+module M = Numerics.Matrix
+module Sp = Numerics.Spectral
+module ES = Density.Electrostatic
+
+let same_bits a b =
+  Float.equal a b && Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_matrix a b =
+  M.rows a = M.rows b
+  && M.cols a = M.cols b
+  && Array.for_all2 same_bits (M.data a) (M.data b)
+
+let rng_int rng lo hi = lo + Numerics.Rng.int rng (hi - lo + 1)
+let rng_float rng lo hi = Numerics.Rng.uniform rng ~lo ~hi
+
+(* a side of 1-12 bins, now and then the placers' 32 *)
+let grid_side rng = if rng_int rng 0 7 = 0 then 32 else rng_int rng 1 12
+
+let prop_spectral_matches_reference =
+  Q.Test.make ~name:"spectral solve returns the reference kernel's bits"
+    ~count:200
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Numerics.Rng.create seed in
+      let nx = grid_side rng and ny = grid_side rng in
+      let sp = Sp.create ~nx ~ny and r = Density_ref.spectral_create ~nx ~ny in
+      List.for_all
+        (fun _ ->
+          (* exact zeros exercise the product's zero skip *)
+          let rho =
+            M.init nx ny (fun _ _ ->
+                match rng_int rng 0 3 with
+                | 0 -> 0.0
+                | 1 -> float_of_int (rng_int rng 0 3)
+                | _ -> rng_float rng 0.0 2.0)
+          in
+          let f = Sp.solve_poisson sp rho in
+          let fr = Density_ref.solve_poisson r rho in
+          let same_field =
+            same_matrix f.Sp.ex fr.Density_ref.ex
+            && same_matrix f.Sp.ey fr.Density_ref.ey
+          in
+          (* the potential is read in some rounds only, so a later
+             round must synthesise it afresh *)
+          let same_psi =
+            rng_int rng 0 1 = 0 || same_matrix (Sp.potential sp) fr.Density_ref.psi
+          in
+          same_field && same_psi
+          && same_matrix (Sp.analyze sp rho) (Density_ref.analyze r rho))
+        (List.init (rng_int rng 1 4) Fun.id))
+
+(* a region away from the origin and its rectangles: inside, partly
+   outside, wider than the whole region, fully outside, zero width *)
+let random_region rng =
+  let x0 = rng_float rng (-5.0) 5.0 and y0 = rng_float rng (-5.0) 5.0 in
+  Geometry.Rect.make ~x0 ~y0 ~x1:(x0 +. rng_float rng 2.0 20.0)
+    ~y1:(y0 +. rng_float rng 2.0 20.0)
+
+let random_rect rng (reg : Geometry.Rect.t) =
+  let rw = Geometry.Rect.width reg and rh = Geometry.Rect.height reg in
+  let cx = reg.Geometry.Rect.x0 +. rng_float rng (-0.3 *. rw) (1.3 *. rw) in
+  let cy = reg.Geometry.Rect.y0 +. rng_float rng (-0.3 *. rh) (1.3 *. rh) in
+  match rng_int rng 0 5 with
+  | 0 -> Geometry.Rect.of_center ~cx ~cy ~w:(1.5 *. rw) ~h:(rng_float rng 0.5 rh)
+  | 1 ->
+      Geometry.Rect.of_center ~cx:(reg.Geometry.Rect.x1 +. rw) ~cy ~w:1.0 ~h:1.0
+  | 2 -> Geometry.Rect.of_center ~cx ~cy ~w:0.0 ~h:(rng_float rng 0.5 3.0)
+  | _ ->
+      Geometry.Rect.of_center ~cx ~cy ~w:(rng_float rng 0.1 (0.5 *. rw))
+        ~h:(rng_float rng 0.1 (0.5 *. rh))
+
+let prop_electrostatic_matches_reference =
+  Q.Test.make
+    ~name:"electrostatic model returns the reference kernel's bits"
+    ~count:200
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Numerics.Rng.create seed in
+      let region = random_region rng in
+      let nx = grid_side rng and ny = grid_side rng in
+      let es = ES.create ~region ~nx ~ny in
+      let r = Density_ref.es_create ~region ~nx ~ny in
+      let probe = random_rect rng region in
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      let bits_pair (a, b) (c, d) = same_bits a c && same_bits b d in
+      raises (fun () -> ES.grad es probe)
+      && raises (fun () -> Density_ref.es_grad r probe)
+      && List.for_all
+           (fun _ ->
+             let rects =
+               Array.init (rng_int rng 0 8) (fun _ -> random_rect rng region)
+             in
+             ES.compute es rects;
+             Density_ref.es_compute r rects;
+             let target = rng_float rng 0.0 1.5 in
+             let total_area = rng_float rng 0.0 50.0 in
+             same_bits
+               (ES.overflow es ~target ~total_area)
+               (Density_ref.es_overflow r ~target ~total_area)
+             && Array.for_all
+                  (fun rc -> bits_pair (ES.grad es rc) (Density_ref.es_grad r rc))
+                  (Array.append rects [| probe |])
+             && (rng_int rng 0 1 = 0
+                || same_bits (ES.energy es rects) (Density_ref.es_energy r rects)))
+           (List.init (rng_int rng 1 4) Fun.id))
+
+let prop_bell_matches_reference =
+  Q.Test.make ~name:"bell smoothing returns the reference kernel's bits"
+    ~count:200
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Numerics.Rng.create seed in
+      let region = random_region rng in
+      let nx = grid_side rng and ny = grid_side rng in
+      let target = rng_float rng 0.1 1.2 in
+      let b = Density.Bell.create ~region ~nx ~ny ~target in
+      let r = Density_ref.bell_create ~region ~nx ~ny ~target in
+      (* the device count changes between rounds on one instance *)
+      List.for_all
+        (fun _ ->
+          let rects =
+            Array.init (rng_int rng 0 8) (fun _ -> random_rect rng region)
+          in
+          let n = Array.length rects in
+          let mid a b = 0.5 *. (a +. b) in
+          let xs = Array.map (fun (q : Geometry.Rect.t) -> mid q.x0 q.x1) rects in
+          let ys = Array.map (fun (q : Geometry.Rect.t) -> mid q.y0 q.y1) rects in
+          let widths = Array.map Geometry.Rect.width rects in
+          let heights = Array.map Geometry.Rect.height rects in
+          let g0 = Array.init (2 * n) (fun _ -> rng_float rng (-1.0) 1.0) in
+          let gx = Array.sub g0 0 n and gy = Array.sub g0 n n in
+          let gxr = Array.sub g0 0 n and gyr = Array.sub g0 n n in
+          let v = Density.Bell.value_grad b ~widths ~heights ~xs ~ys ~gx ~gy in
+          let vr =
+            Density_ref.bell_value_grad r ~widths ~heights ~xs ~ys ~gx:gxr
+              ~gy:gyr
+          in
+          same_bits v vr
+          && Array.for_all2 same_bits gx gxr
+          && Array.for_all2 same_bits gy gyr)
+        (List.init (rng_int rng 1 4) Fun.id))
+
+let density_equivalence_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_spectral_matches_reference; prop_electrostatic_matches_reference;
+      prop_bell_matches_reference ]
+
 let suites =
   [
     ( "properties",
@@ -335,4 +492,5 @@ let suites =
           prop_hpwl_consistency; prop_island_packing_legal;
           prop_fom_monotone_spread ] );
     ("simplex.equivalence", equivalence_tests);
+    ("density.equivalence", density_equivalence_tests);
   ]

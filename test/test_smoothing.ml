@@ -101,6 +101,17 @@ let wa_tests =
           (smoothed <= NV.hpwl nv ~xs ~ys +. 1e-9));
   ]
 
+(* [f i j area] for every bin [r] overlaps, through the cover scratch *)
+let splat g r ~f =
+  let c = BG.cover_create g in
+  BG.cover g r c;
+  for i = c.BG.i0 to c.BG.i1 do
+    for j = c.BG.j0 to c.BG.j1 do
+      if c.BG.dx.(i) > 0.0 && c.BG.dy.(j) > 0.0 then
+        f i j (c.BG.dx.(i) *. c.BG.dy.(j))
+    done
+  done
+
 let bin_tests =
   [
     Alcotest.test_case "splat conserves area" `Quick (fun () ->
@@ -110,7 +121,7 @@ let bin_tests =
         in
         let r = R.make ~x0:1.3 ~y0:2.7 ~x1:4.9 ~y1:6.1 in
         let acc = ref 0.0 in
-        BG.splat g r ~f:(fun _ _ a -> acc := !acc +. a);
+        splat g r ~f:(fun _ _ a -> acc := !acc +. a);
         checkf ~eps:1e-9 "conserved" (Geometry.Rect.area r) !acc);
     Alcotest.test_case "splat clips to region" `Quick (fun () ->
         let g =
@@ -119,7 +130,7 @@ let bin_tests =
         in
         let r = R.make ~x0:(-2.0) ~y0:3.0 ~x1:2.0 ~y1:9.0 in
         let acc = ref 0.0 in
-        BG.splat g r ~f:(fun _ _ a -> acc := !acc +. a);
+        splat g r ~f:(fun _ _ a -> acc := !acc +. a);
         (* clipped: x in [0,2], y in [3,4] -> area 2 *)
         checkf ~eps:1e-9 "clipped" 2.0 !acc);
     Alcotest.test_case "device smaller than a bin lands in one bin" `Quick
@@ -130,7 +141,7 @@ let bin_tests =
         in
         let r = R.make ~x0:2.2 ~y0:2.2 ~x1:2.8 ~y1:2.8 in
         let hits = ref [] in
-        BG.splat g r ~f:(fun i j a -> hits := (i, j, a) :: !hits);
+        splat g r ~f:(fun i j a -> hits := (i, j, a) :: !hits);
         match !hits with
         | [ (1, 1, a) ] -> checkf ~eps:1e-9 "area" 0.36 a
         | _ -> Alcotest.failf "expected single bin hit, got %d" (List.length !hits));
@@ -309,12 +320,65 @@ let area_tests =
           (gx.(3) > 0.0));
   ]
 
+(* Once warm, the density kernels allocate nothing on the major heap.
+   A spectral solve used to make about fourteen fresh grid matrices,
+   each large enough to go straight to the major heap. The minor heap
+   is emptied first, so nothing short-lived can be promoted by a minor
+   collection inside the measured loop. *)
+let major_words () =
+  let _, _, m = Gc.counters () in
+  m
+
+let alloc_region = R.make ~x0:0.0 ~y0:0.0 ~x1:16.0 ~y1:16.0
+
+let alloc_rects () =
+  Array.init 12 (fun k ->
+      let f = float_of_int k in
+      R.of_center ~cx:(2.0 +. f) ~cy:(3.0 +. (0.8 *. f)) ~w:(1.0 +. (0.2 *. f))
+        ~h:2.0)
+
+let no_major_words name run =
+  run ();
+  Gc.minor ();
+  let m0 = major_words () in
+  for _ = 1 to 100 do
+    run ()
+  done;
+  Alcotest.(check (float 0.0)) name 0.0 (major_words () -. m0)
+
+let alloc_tests =
+  [
+    Alcotest.test_case "electrostatic compute + grad: no major words"
+      `Quick (fun () ->
+        let es = ES.create ~region:alloc_region ~nx:32 ~ny:32 in
+        let alloc_rects = alloc_rects () in
+        no_major_words "major words in 100 rounds" (fun () ->
+            ES.compute es alloc_rects;
+            for k = 0 to Array.length alloc_rects - 1 do
+              ignore (ES.grad es alloc_rects.(k) : float * float)
+            done));
+    Alcotest.test_case "bell value_grad: no major words" `Quick (fun () ->
+        let bell = Bell.create ~region:alloc_region ~nx:32 ~ny:32 ~target:0.5 in
+        let alloc_rects = alloc_rects () in
+        let mid a b = 0.5 *. (a +. b) in
+        let xs = Array.map (fun (r : R.t) -> mid r.x0 r.x1) alloc_rects in
+        let ys = Array.map (fun (r : R.t) -> mid r.y0 r.y1) alloc_rects in
+        let widths = Array.map R.width alloc_rects in
+        let heights = Array.map R.height alloc_rects in
+        let n = Array.length alloc_rects in
+        let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
+        no_major_words "major words in 100 calls" (fun () ->
+            ignore
+              (Bell.value_grad bell ~widths ~heights ~xs ~ys ~gx ~gy : float)));
+  ]
+
 let suites =
   [
     ("wirelength", wa_tests);
     ("density.bin_grid", bin_tests);
     ("density.electrostatic", electro_tests);
     ("density.bell", bell_tests);
+    ("density.alloc", alloc_tests);
     ("place_common.penalty", penalty_tests);
     ("place_common.area", area_tests);
   ]
