@@ -1,6 +1,11 @@
 (* Branch and bound over LP relaxations (depth-first with best-bound
-   pruning). Integer variables are branched by adding bound rows to the
-   relaxation; binaries get an implicit upper bound of 1. *)
+   pruning). Binaries get an implicit upper bound of 1. The root
+   relaxation is solved by two-phase simplex; every other node is its
+   root plus the bound rows of its branching path, re-solved by dual
+   simplex on one working tableau ([Simplex.solve_warm]). A child of
+   the node just solved adds its one bound row; any other node (a
+   backtrack) first resets the tableau to the root optimum and adds
+   its whole path. *)
 
 type vartype = Continuous | Integer | Binary
 
@@ -15,7 +20,12 @@ type result = {
   nodes : int;
 }
 
-type node = { extra : Simplex.constr list; depth : int }
+type bound = { var : int; op : Simplex.op; rhs : float }
+
+(* [path]: the node's bound rows, newest first; [parent]: the number
+   (from 1, in solve order) of the node that branched it, 0 for the
+   root *)
+type node = { path : bound list; parent : int }
 
 let int_tol = 1e-5
 
@@ -23,6 +33,7 @@ let is_integral v = abs_float (v -. Float.round v) <= int_tol
 
 let nodes_counter = Telemetry.Counter.make "ilp.nodes"
 let solves_counter = Telemetry.Counter.make "ilp.solves"
+let truncated_counter = Telemetry.Counter.make "ilp.truncated"
 
 let solve ?(max_nodes = 500) (p : problem) =
   if Array.length p.kinds <> p.base.Simplex.n_vars then
@@ -35,20 +46,39 @@ let solve ?(max_nodes = 500) (p : problem) =
                [ { Simplex.coeffs = [ (j, 1.0) ]; op = Simplex.Le; rhs = 1.0 } ]
            | Integer | Continuous -> []))
   in
-  let relax extra =
-    Simplex.solve
-      {
-        p.base with
-        Simplex.constraints =
-          binary_bounds @ extra @ p.base.Simplex.constraints;
-      }
+  let root =
+    { p.base with
+      Simplex.constraints = binary_bounds @ p.base.Simplex.constraints }
+  in
+  (* a node is solved only after all its ancestors, so its depth is
+     below [max_nodes]; a binary is branched at most once on a path *)
+  let reserve =
+    if Array.exists (fun k -> k = Integer) p.kinds then max 0 (max_nodes - 1)
+    else max 0 (min (max_nodes - 1) (List.length binary_bounds))
   in
   Telemetry.Counter.incr solves_counter;
   let incumbent = ref None in
   let incumbent_obj = ref infinity in
   let nodes = ref 0 in
   let truncated = ref false in
-  let stack = ref [ { extra = []; depth = 0 } ] in
+  let stack = ref [ { path = []; parent = 0 } ] in
+  let warm = ref None in
+  let add w b = Simplex.add_bound w b.var b.op b.rhs in
+  let relax node =
+    match (node.path, !warm) with
+    | [], _ ->
+        let r, w = Simplex.solve_warm ~reserve root in
+        warm := Some w;
+        r
+    | b :: _, Some w when node.parent = !nodes - 1 ->
+        add w b;
+        Simplex.resolve w
+    | path, Some w ->
+        Simplex.reset w;
+        List.iter (add w) (List.rev path);
+        Simplex.resolve w
+    | _ :: _, None -> invalid_arg "Ilp.solve: child of an unsolved root"
+  in
   let root_unbounded = ref false in
   let running = ref true in
   while !running do
@@ -62,11 +92,11 @@ let solve ?(max_nodes = 500) (p : problem) =
         end
         else begin
           incr nodes;
-          match relax node.extra with
+          match relax node with
           | Simplex.Infeasible -> ()
           | Simplex.Iter_limit -> truncated := true
           | Simplex.Unbounded ->
-              if node.depth = 0 then begin
+              if node.parent = 0 then begin
                 root_unbounded := true;
                 stack := []
               end
@@ -99,15 +129,14 @@ let solve ?(max_nodes = 500) (p : problem) =
                 else begin
                   let j = !pick in
                   let v = sol.Simplex.x.(j) in
-                  let lo =
-                    { Simplex.coeffs = [ (j, 1.0) ]; op = Simplex.Le;
-                      rhs = Float.of_int (int_of_float (Float.floor v)) }
-                  and hi =
-                    { Simplex.coeffs = [ (j, 1.0) ]; op = Simplex.Ge;
-                      rhs = Float.of_int (int_of_float (Float.ceil v)) }
+                  let child op rhs =
+                    { path = { var = j; op; rhs } :: node.path; parent = !nodes }
                   in
-                  let down = { extra = lo :: node.extra; depth = node.depth + 1 }
-                  and up = { extra = hi :: node.extra; depth = node.depth + 1 } in
+                  let down =
+                    child Simplex.Le (Float.of_int (int_of_float (Float.floor v)))
+                  and up =
+                    child Simplex.Ge (Float.of_int (int_of_float (Float.ceil v)))
+                  in
                   (* explore the branch nearer the relaxed value first *)
                   let first, second =
                     if v -. Float.floor v <= 0.5 then (down, up) else (up, down)
@@ -118,6 +147,7 @@ let solve ?(max_nodes = 500) (p : problem) =
         end
   done;
   Telemetry.Counter.add nodes_counter !nodes;
+  if !truncated then Telemetry.Counter.incr truncated_counter;
   match !incumbent with
   | Some sol ->
       let x = Array.copy sol.Simplex.x in

@@ -1,7 +1,16 @@
 (** Integer linear programming by branch and bound over the simplex
     relaxation. Depth-first diving (nearest-branch-first) finds an
     incumbent quickly; best-bound pruning keeps node counts low at
-    analog-placement problem sizes. *)
+    analog-placement problem sizes.
+
+    Only the root relaxation is solved from scratch, by two-phase
+    simplex. Every other node is the root plus its path of bound rows
+    ([x_j <= floor v] or [x_j >= ceil v]), re-solved by dual simplex on
+    one reused working tableau ({!Simplex.solve_warm}): a child of the
+    node just solved adds its one row, and any other node first resets
+    the tableau to the root optimum and adds its whole path. The root
+    takes the pivots and bits of {!Simplex.solve} on the binary bounds
+    followed by the base rows. *)
 
 type vartype = Continuous | Integer | Binary
 
@@ -26,5 +35,7 @@ type result = {
 val solve : ?max_nodes:int -> problem -> result
 (** Binary variables get an implicit [x <= 1] bound. The node budget
     [max_nodes] (default 500) is the only stop, so the result is a
-    function of the problem alone.
+    function of the problem alone. A solve that stops on the budget or
+    on a relaxation's [Iter_limit] adds 1 to the [ilp.truncated]
+    telemetry counter.
     @raise Invalid_argument if [kinds] size mismatches the problem. *)

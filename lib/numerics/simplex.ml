@@ -20,7 +20,18 @@
    [z] keeps the full logical length.
 
    Anti-cycling: Dantzig pricing normally, switching to Bland's rule
-   after a stall budget is exhausted. *)
+   after a stall budget is exhausted; the dual loop of the warm
+   re-solves switches the same way.
+
+   Warm starts. [solve_warm ~reserve] builds the tableau with [reserve]
+   spare rows and as many spare slack columns, logically between the
+   Ge slacks and the artificials, so they are all zero and never enter
+   a root pivot. After an optimal solve, [add_bound] appends one bound
+   row x_j <= b or x_j >= b with a spare slack basic in it, written in
+   terms of the current basis. The reduced costs do not change, so the
+   basis stays dual feasible and [resolve] restores primal
+   feasibility by dual simplex. [reset] returns the working tableau to
+   the root optimum, copied on the first [add_bound]. *)
 
 type op = Le | Ge | Eq
 
@@ -45,11 +56,12 @@ let eps = 1e-9
 let pivots_counter = Telemetry.Counter.make "simplex.pivots"
 
 type tableau = {
-  m : int;  (* rows *)
+  mutable m : int;  (* rows in use *)
   ncols : int;  (* logical columns: structural + slack + artificial *)
   art_start : int;  (* logical columns >= art_start are artificial *)
   rhs_col : int;  (* stored rhs column; rows have length rhs_col + 1 *)
-  t : float array array;  (* m stored rows *)
+  bland_after : int;  (* stall budget, from the built rows and columns *)
+  t : float array array;  (* m stored rows, then the reserved ones *)
   z : float array;  (* reduced-cost row, logical length ncols + 1 *)
   basis : int array;  (* basic logical column per row *)
   col : int array;  (* logical -> stored column *)
@@ -60,7 +72,7 @@ type tableau = {
   mutable pivots : int;
 }
 
-let build (p : problem) =
+let build ~reserve (p : problem) =
   let m = List.length p.constraints in
   let rows = Array.of_list p.constraints in
   (* Normalise to rhs >= 0. *)
@@ -80,11 +92,15 @@ let build (p : problem) =
     Array.fold_left (fun acc r -> if r.op = op then acc + 1 else acc) 0 rows
   in
   let n_le = count Le and n_ge = count Ge and n_eq = count Eq in
-  let art_start = p.n_vars + n_le + n_ge in
+  let art_start = p.n_vars + n_le + n_ge + reserve in
   let ncols = art_start + n_ge + n_eq in
   let rhs_col = art_start + n_eq in
-  let t = Array.init m (fun _ -> Array.make (rhs_col + 1) 0.0) in
-  let basis = Array.make m (-1) in
+  (* reserved rows are allocated when first added *)
+  let t =
+    Array.init (m + reserve) (fun i ->
+        if i < m then Array.make (rhs_col + 1) 0.0 else [||])
+  in
+  let basis = Array.make (m + reserve) (-1) in
   let col = Array.init ncols Fun.id and neg = Array.make ncols false in
   let lcol = Array.init (rhs_col + 1) Fun.id in
   let ge_art = Array.make (rhs_col + 1) (-1) in
@@ -119,7 +135,9 @@ let build (p : problem) =
           incr eq;
           incr art))
     rows;
-  { m; ncols; art_start; rhs_col; t; z = Array.make (ncols + 1) 0.0; basis;
+  { m; ncols; art_start; rhs_col;
+    bland_after = 5 * (m + ncols - reserve);
+    t; z = Array.make (ncols + 1) 0.0; basis;
     col; neg; lcol; ge_art; nz = Array.make (rhs_col + 1) 0; pivots = 0 }
 
 (* Tableau entry of logical column [j] in stored row [r]. *)
@@ -189,10 +207,11 @@ let pivot tab ~row ~col =
   tab.basis.(row) <- col;
   tab.pivots <- tab.pivots + 1
 
-(* Run simplex iterations until optimal/unbounded/limit. [allowed j]
-   restricts entering columns (used to ban artificials in phase 2). *)
-let iterate ?(max_iter = 20000) tab ~allowed =
-  let bland_after = 5 * (tab.m + tab.ncols) in
+(* Run simplex iterations until optimal/unbounded/limit. Only logical
+   columns below [limit] may enter: [ncols] in phase 1, [art_start]
+   (no artificials) in phase 2. *)
+let iterate ~max_iter tab ~limit =
+  let bland_after = tab.bland_after in
   let rec go k =
     if k >= max_iter then `Iter_limit
     else begin
@@ -200,8 +219,8 @@ let iterate ?(max_iter = 20000) tab ~allowed =
       let enter = ref (-1) in
       if k < bland_after then begin
         let best = ref (-.eps) in
-        for j = 0 to tab.ncols - 1 do
-          if allowed j && tab.z.(j) < !best then begin
+        for j = 0 to limit - 1 do
+          if tab.z.(j) < !best then begin
             best := tab.z.(j);
             enter := j
           end
@@ -210,8 +229,8 @@ let iterate ?(max_iter = 20000) tab ~allowed =
       else begin
         (* Bland: smallest index with negative reduced cost *)
         let j = ref 0 in
-        while !enter < 0 && !j < tab.ncols do
-          if allowed !j && tab.z.(!j) < -.eps then enter := !j;
+        while !enter < 0 && !j < limit do
+          if tab.z.(!j) < -.eps then enter := !j;
           incr j
         done
       end;
@@ -244,6 +263,19 @@ let iterate ?(max_iter = 20000) tab ~allowed =
   in
   go 0
 
+(* The basic solution of an optimal tableau. *)
+let extract (p : problem) tab =
+  let x = Array.make p.n_vars 0.0 in
+  for i = 0 to tab.m - 1 do
+    if tab.basis.(i) < p.n_vars then
+      x.(tab.basis.(i)) <- tab.t.(i).(tab.rhs_col)
+  done;
+  let obj = ref 0.0 in
+  for j = 0 to p.n_vars - 1 do
+    obj := !obj +. (p.objective.(j) *. x.(j))
+  done;
+  { x; objective_value = !obj }
+
 let run ~max_iter (p : problem) tab =
   let has_art = tab.ncols > tab.art_start in
   let status_phase1 =
@@ -255,7 +287,7 @@ let run ~max_iter (p : problem) tab =
         c1.(j) <- 1.0
       done;
       price tab c1;
-      iterate ~max_iter tab ~allowed:(fun _ -> true)
+      iterate ~max_iter tab ~limit:tab.ncols
     end
   in
   match status_phase1 with
@@ -291,29 +323,181 @@ let run ~max_iter (p : problem) tab =
         let c2 = Array.make tab.ncols 0.0 in
         Array.blit p.objective 0 c2 0 p.n_vars;
         price tab c2;
-        let allowed j = j < tab.art_start in
-        match iterate ~max_iter tab ~allowed with
+        match iterate ~max_iter tab ~limit:tab.art_start with
         | `Iter_limit -> Iter_limit
         | `Unbounded -> Unbounded
-        | `Optimal ->
-            let x = Array.make p.n_vars 0.0 in
-            for i = 0 to tab.m - 1 do
-              if tab.basis.(i) < p.n_vars then
-                x.(tab.basis.(i)) <- tab.t.(i).(tab.rhs_col)
-            done;
-            let obj = ref 0.0 in
-            for j = 0 to p.n_vars - 1 do
-              obj := !obj +. (p.objective.(j) *. x.(j))
-            done;
-            Optimal { x; objective_value = !obj }
+        | `Optimal -> Optimal (extract p tab)
       end
 
-let solve ?(max_iter = 20000) (p : problem) =
+(* The root optimum, rows stored sparse: window tableaux are 2-6 %
+   nonzero, so the copy costs a small part of a second tableau. *)
+type root = {
+  root_rows : (int array * float array) array;  (* nonzero columns, values *)
+  root_z : float array;
+  root_basis : int array;
+}
+
+let sparse row =
+  let n = Array.fold_left (fun n v -> if abs_float v > 0.0 then n + 1 else n) 0 row in
+  let idx = Array.make n 0 and vals = Array.make n 0.0 and k = ref 0 in
+  Array.iteri
+    (fun c v ->
+      if abs_float v > 0.0 then begin
+        idx.(!k) <- c;
+        vals.(!k) <- v;
+        incr k
+      end)
+    row;
+  (idx, vals)
+
+type warm = {
+  problem : problem;
+  work : tableau;
+  root_m : int;  (* rows of the root LP *)
+  slack0 : int;  (* first reserved slack column *)
+  mutable root : root option;  (* the root optimum, once copied *)
+}
+
+let build_checked ~reserve (p : problem) =
   if Array.length p.objective <> p.n_vars then
     invalid_arg "Simplex.solve: objective size";
-  let tab = build p in
+  if reserve < 0 then invalid_arg "Simplex.solve_warm: reserve";
+  build ~reserve p
+
+let run_counted ~max_iter p tab =
   let result = run ~max_iter p tab in
   Telemetry.Counter.add pivots_counter tab.pivots;
+  result
+
+let solve ?(max_iter = 20000) p =
+  run_counted ~max_iter p (build_checked ~reserve:0 p)
+
+let solve_warm ?(max_iter = 20000) ~reserve p =
+  let tab = build_checked ~reserve p in
+  ( run_counted ~max_iter p tab,
+    { problem = p; work = tab; root_m = tab.m;
+      slack0 = tab.art_start - reserve; root = None } )
+
+let reset w =
+  match w.root with
+  | None -> ()
+  | Some r ->
+      let tab = w.work in
+      for i = 0 to w.root_m - 1 do
+        let row = tab.t.(i) and idx, vals = r.root_rows.(i) in
+        Array.fill row 0 (Array.length row) 0.0;
+        Array.iteri (fun k c -> row.(c) <- vals.(k)) idx
+      done;
+      Array.blit r.root_z 0 tab.z 0 (Array.length r.root_z);
+      Array.blit r.root_basis 0 tab.basis 0 w.root_m;
+      tab.m <- w.root_m
+
+let add_bound w j op b =
+  let tab = w.work in
+  if j < 0 || j >= w.problem.n_vars then invalid_arg "Simplex.add_bound: var index";
+  let k = tab.m in
+  if k >= Array.length tab.t then invalid_arg "Simplex.add_bound: no reserved row";
+  let sign =
+    match op with
+    | Le -> 1.0
+    | Ge -> -1.0
+    | Eq -> invalid_arg "Simplex.add_bound: Eq"
+  in
+  if Option.is_none w.root then
+    w.root <-
+      Some
+        { root_rows = Array.init w.root_m (fun i -> sparse tab.t.(i));
+          root_z = Array.copy tab.z;
+          root_basis = Array.sub tab.basis 0 w.root_m };
+  (* sign * x_j + s = sign * b, minus sign times x_j's row if x_j is
+     basic; the reserved column s is zero in every row in use *)
+  if Array.length tab.t.(k) = 0 then tab.t.(k) <- Array.make (tab.rhs_col + 1) 0.0
+  else Array.fill tab.t.(k) 0 (tab.rhs_col + 1) 0.0;
+  let r = tab.t.(k) in
+  let basic = ref (-1) in
+  for i = 0 to k - 1 do
+    if tab.basis.(i) = j then basic := i
+  done;
+  if !basic < 0 then begin
+    r.(j) <- sign;
+    r.(tab.rhs_col) <- sign *. b
+  end
+  else begin
+    let src = tab.t.(!basic) in
+    for c = 0 to tab.rhs_col - 1 do
+      let v = src.(c) in
+      if abs_float v > 0.0 then r.(c) <- -.(sign *. v)
+    done;
+    r.(j) <- 0.0;
+    r.(tab.rhs_col) <- sign *. (b -. src.(tab.rhs_col))
+  end;
+  let s = w.slack0 + (k - w.root_m) in
+  r.(s) <- 1.0;
+  tab.basis.(k) <- s;
+  tab.m <- k + 1
+
+(* Dual simplex from a dual-feasible basis: a row with a negative rhs
+   leaves, and the column below [limit] with the smallest ratio
+   z_j / -a_j enters. Until the stall budget is spent, the most
+   negative row leaves and ratio ties go to the larger |a_j|, then to
+   the smaller index. After it, Bland's rule: the row whose basic
+   column has the smallest index leaves and ratio ties go to the
+   smallest index alone, which cannot cycle. *)
+let dual_iterate ~max_iter tab ~limit =
+  let rec go k =
+    if k >= max_iter then `Iter_limit
+    else begin
+      let bland = k >= tab.bland_after in
+      let row = ref (-1) and worst = ref (-.eps) in
+      for i = 0 to tab.m - 1 do
+        let v = tab.t.(i).(tab.rhs_col) in
+        if not bland then begin
+          if v < !worst then begin
+            worst := v;
+            row := i
+          end
+        end
+        else if v < -.eps && (!row < 0 || tab.basis.(i) < tab.basis.(!row))
+        then row := i
+      done;
+      if !row < 0 then `Optimal
+      else begin
+        let r = tab.t.(!row) in
+        let enter = ref (-1) and best = ref infinity and best_a = ref 0.0 in
+        for j = 0 to limit - 1 do
+          let a = entry tab r j in
+          if a < -.eps then begin
+            let ratio = Float.max 0.0 tab.z.(j) /. -.a in
+            if
+              ratio < !best -. eps
+              || ((not bland) && ratio < !best +. eps && -.a > !best_a)
+            then begin
+              best := ratio;
+              best_a := -.a;
+              enter := j
+            end
+          end
+        done;
+        if !enter < 0 then `Infeasible
+        else begin
+          pivot tab ~row:!row ~col:!enter;
+          go (k + 1)
+        end
+      end
+    end
+  in
+  go 0
+
+let resolve ?(max_iter = 20000) w =
+  let tab = w.work in
+  let before = tab.pivots in
+  let result =
+    match dual_iterate ~max_iter tab ~limit:tab.art_start with
+    | `Iter_limit -> Iter_limit
+    | `Infeasible -> Infeasible
+    | `Optimal -> Optimal (extract w.problem tab)
+  in
+  Telemetry.Counter.add pivots_counter (tab.pivots - before);
   result
 
 let pp_result ppf = function

@@ -4,8 +4,9 @@
 
     This powers the LP legalization / detailed placement of the prior
     analytical work and the LP relaxations inside the ILP
-    branch-and-bound. Pricing is Dantzig's rule, with Bland's rule
-    after a stall budget.
+    branch-and-bound, whose nodes are warm-started by dual simplex
+    (see {!section:warm}). Pricing is Dantzig's rule, with Bland's rule
+    after a stall budget, in the primal and the dual loop alike.
 
     The tableau is stored row-major, but the rows it pivots on are
     sparse (a legalization pivot row is ~6 % nonzero), so a pivot
@@ -48,5 +49,46 @@ val solve : ?max_iter:int -> problem -> result
     semantics and are pinned by tests.
 
     @raise Invalid_argument on malformed input (bad sizes or indices). *)
+
+(** {2:warm Warm starts}
+
+    Branch and bound re-solves one LP with a few bound rows added.
+    Adding rows leaves the reduced costs alone, so an optimal basis
+    stays dual feasible: the new row's slack is basic in it, possibly
+    at a negative value, and dual simplex restores primal feasibility
+    from there without a phase 1 or a rebuild. Only rows are ever
+    added; nothing else may change the working tableau between
+    re-solves, or the basis would lose that dual feasibility. *)
+
+type warm
+(** An LP solved by {!solve_warm}: its working tableau, with reserved
+    rows and slack columns for bound rows, and, once the first bound
+    row is added, a copy of the root optimum. *)
+
+val solve_warm : ?max_iter:int -> reserve:int -> problem -> result * warm
+(** [solve] with room for [reserve] bound rows. The reserved slack
+    columns are zero and logically below the artificials, and Bland's
+    switch point counts only the LP's own rows and columns, so the
+    pivots, the bits of the result and the [simplex.pivots] count are
+    those of [solve]. The [warm] is usable only if the result is
+    [Optimal]. *)
+
+val add_bound : warm -> int -> op -> float -> unit
+(** [add_bound w j op b] adds the row [x_j op b] ([Le] or [Ge]) to the
+    working tableau, written in terms of the current basis. The first
+    call copies the tableau as the root optimum.
+    @raise Invalid_argument on [Eq], a bad index, or more rows than
+    reserved. *)
+
+val resolve : ?max_iter:int -> warm -> result
+(** Dual simplex on the working tableau from its current, dual-feasible
+    basis: [Optimal], [Infeasible] (a row with a negative rhs and no
+    entering column), or [Iter_limit]. Adds its pivots to
+    [simplex.pivots]. After [Optimal], more rows may be added and
+    resolved again. *)
+
+val reset : warm -> unit
+(** Return the working tableau to the root optimum: every added row is
+    dropped. A no-op before the first {!add_bound}. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -190,9 +190,15 @@ let golden_tests =
     Alcotest.test_case "window ILP objective: bits pinned" `Quick (fun () ->
         match Matheuristic.Window_ilp.solve (golden_window ()) with
         | Some s ->
-            Alcotest.(check int64) "objective bits" 4626379012211684141L
-              (bits s.Matheuristic.Window_ilp.sol_objective);
-            Alcotest.(check int) "nodes" 229 s.Matheuristic.Window_ilp.sol_nodes
+            let obj = s.Matheuristic.Window_ilp.sol_objective in
+            Alcotest.(check int64) "objective bits" 4626379012211684159L (bits obj);
+            Alcotest.(check int) "nodes" 307 s.Matheuristic.Window_ilp.sol_nodes;
+            (* the same optimum as the cold-rebuild search, which
+               returned these bits in 229 nodes; warm dual re-solves
+               round it differently *)
+            let cold = Int64.float_of_bits 4626379012211684141L in
+            Alcotest.(check bool) "cold optimum within 1e-12" true
+              (abs_float (obj -. cold) <= 1e-12 *. abs_float cold)
         | None -> Alcotest.fail "window did not solve");
   ]
 

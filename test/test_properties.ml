@@ -326,6 +326,279 @@ let equivalence_tests =
           (same_as_reference (beale ())));
   ]
 
+(* Warm-started branch and bound against the cold search it replaced
+   ([Ilp_ref], which rebuilds and re-solves every node from scratch).
+   Small integer data: Binary, Integer and Continuous variables, boxes
+   on all but (now and then) one variable, Le/Ge/Eq rows through or
+   near an integer point, rows sharing one rhs (tied ratios), and free
+   right-hand sides that make some problems infeasible. The two
+   searches may visit different optimal vertices of a degenerate
+   relaxation, so only the status and the objective are compared. *)
+let random_ilp seed =
+  let rng = Numerics.Rng.create seed in
+  let int lo hi = lo + Numerics.Rng.int rng (hi - lo + 1) in
+  let n = int 2 6 in
+  let kinds =
+    Array.init n (fun _ ->
+        match int 0 4 with 0 | 1 -> I.Binary | 2 | 3 -> I.Integer | _ -> I.Continuous)
+  in
+  let top j = match kinds.(j) with I.Binary -> 1 | I.Integer | I.Continuous -> 3 in
+  let x0 = Array.init n (fun j -> float_of_int (int 0 (top j))) in
+  let tied = float_of_int (int 0 4) in
+  let row () =
+    let coeffs =
+      List.filter_map
+        (fun j ->
+          match int (-3) 3 with
+          | 0 -> None
+          | a -> if int 0 3 = 0 then None else Some (j, float_of_int a))
+        (List.init n Fun.id)
+    in
+    let ax0 = List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0.0 coeffs in
+    let k = int 0 9 in
+    let op = if k < 5 then Sx.Le else if k < 8 then Sx.Ge else Sx.Eq in
+    let rhs =
+      match int 0 5 with
+      | 0 -> tied
+      | 1 -> float_of_int (int (-3) 6)
+      | _ -> (
+          let gap = float_of_int (int 0 2) in
+          match op with Sx.Le -> ax0 +. gap | Sx.Ge -> ax0 -. gap | Sx.Eq -> ax0)
+    in
+    { Sx.coeffs; op; rhs }
+  in
+  let unboxed = if int 0 9 = 0 then 0 else -1 in
+  let boxes =
+    List.filter_map
+      (fun j ->
+        if j = unboxed || kinds.(j) = I.Binary then None
+        else Some { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Le; rhs = float_of_int (top j) })
+      (List.init n Fun.id)
+  in
+  let objective = Array.init n (fun _ -> float_of_int (int (-3) 3)) in
+  { I.base =
+      { Sx.n_vars = n; objective;
+        constraints = List.init (int 1 6) (fun _ -> row ()) @ boxes };
+    kinds }
+
+let same_outcome (a : I.result) (b : I.result) =
+  a.I.status = b.I.status
+  &&
+  match a.I.status with
+  | I.Ilp_optimal | I.Ilp_feasible ->
+      abs_float (a.I.objective_value -. b.I.objective_value)
+      <= 1e-7 *. Float.max 1.0 (abs_float b.I.objective_value)
+  | I.Ilp_infeasible | I.Ilp_unbounded -> true
+
+let prop_ilp_matches_cold =
+  Q.Test.make ~name:"warm branch and bound matches the cold reference"
+    ~count:1000
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = random_ilp seed in
+      same_outcome (I.solve p) (Ilp_ref.solve p))
+
+(* The rows [Ilp.solve] relaxes at the root: binary bounds first. *)
+let root_rows (p : I.problem) =
+  let bounds =
+    List.concat
+      (List.mapi
+         (fun j k ->
+           if k = I.Binary then [ { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Le; rhs = 1.0 } ]
+           else [])
+         (Array.to_list p.I.kinds))
+  in
+  { p.I.base with Sx.constraints = bounds @ p.I.base.Sx.constraints }
+
+let counted counter f =
+  let before = Telemetry.Counter.value counter in
+  let r = f () in
+  (r, Telemetry.Counter.value counter - before)
+
+let prop_one_node_is_the_root_lp =
+  Q.Test.make ~name:"one-node search returns the root LP's bits and pivots"
+    ~count:300
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = random_ilp seed in
+      let r, pivots = counted pivots_counter (fun () -> I.solve ~max_nodes:1 p) in
+      let lp, lp_pivots = counted pivots_counter (fun () -> Sx.solve (root_rows p)) in
+      pivots = lp_pivots
+      &&
+      match (r.I.status, lp) with
+      | (I.Ilp_optimal | I.Ilp_feasible), Sx.Optimal s ->
+          let x =
+            Array.mapi
+              (fun j v ->
+                if p.I.kinds.(j) <> I.Continuous && abs_float (v -. Float.round v) <= 1e-5
+                then Float.round v
+                else v)
+              s.Sx.x
+          in
+          Array.for_all2 Float.equal x r.I.x
+          && Int64.equal
+               (Int64.bits_of_float s.Sx.objective_value)
+               (Int64.bits_of_float r.I.objective_value)
+      | (I.Ilp_optimal | I.Ilp_feasible), _ -> false
+      | I.Ilp_unbounded, Sx.Unbounded -> true
+      | I.Ilp_unbounded, _ -> false
+      | I.Ilp_infeasible, _ -> true)
+
+(* Reserved rows and slack columns must not change a root pivot, nor
+   move Bland's switch point (the Beale LP cycles until it). *)
+let warm_root_same ?max_iter ~reserve p =
+  let (r, _), pivots =
+    counted pivots_counter (fun () -> Sx.solve_warm ?max_iter ~reserve p)
+  in
+  let r0, pivots0 = counted pivots_counter (fun () -> Sx.solve ?max_iter p) in
+  pivots = pivots0
+  &&
+  match (r, r0) with
+  | Sx.Optimal a, Sx.Optimal b ->
+      Array.for_all2 Float.equal a.Sx.x b.Sx.x
+      && Int64.equal
+           (Int64.bits_of_float a.Sx.objective_value)
+           (Int64.bits_of_float b.Sx.objective_value)
+  | Sx.Infeasible, Sx.Infeasible
+  | Sx.Unbounded, Sx.Unbounded
+  | Sx.Iter_limit, Sx.Iter_limit -> true
+  | _ -> false
+
+let prop_reserve_keeps_root =
+  Q.Test.make ~name:"a warm root solve takes the plain solve's pivots"
+    ~count:500
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p, max_iter = random_lp seed in
+      warm_root_same ?max_iter ~reserve:(seed mod 6) p)
+
+(* max -x - y  s.t.  2x + 3y <= 12,  3x + 2y <= 12: LP optimum (2.4, 2.4) *)
+let gap_lp () =
+  { Sx.n_vars = 2;
+    objective = [| -1.0; -1.0 |];
+    constraints =
+      [ { Sx.coeffs = [ (0, 2.0); (1, 3.0) ]; op = Sx.Le; rhs = 12.0 };
+        { Sx.coeffs = [ (0, 3.0); (1, 2.0) ]; op = Sx.Le; rhs = 12.0 } ] }
+
+let with_row (p : Sx.problem) j op rhs =
+  { p with Sx.constraints = p.Sx.constraints @ [ { Sx.coeffs = [ (j, 1.0) ]; op; rhs } ] }
+
+let optimum = function
+  | Sx.Optimal s -> s
+  | r -> Alcotest.failf "expected an optimum, got %a" Sx.pp_result r
+
+let check_close msg (a : Sx.solution) (b : Sx.solution) =
+  let close u v = abs_float (u -. v) <= 1e-9 in
+  Alcotest.(check bool) msg true
+    (close a.Sx.objective_value b.Sx.objective_value
+    && Array.for_all2 close a.Sx.x b.Sx.x)
+
+(* A zero-cost LP, so every dual ratio is 0: its warm re-solve cycles
+   under the dual Dantzig rule and also under a Bland switch that still
+   breaks entering ties by the larger |a_j|. Rows
+   1024 y_i - m_i.v = 1024000 leave each y_i basic at the root, so the
+   added bound y_i >= 1000 + g_i / 1024 reads m_i.v >= g_i. *)
+let dual_cycling () =
+  let m =
+    [| [| 3.0; 3.0; 6.0; 1.0 |]; [| 0.0; -4.0; 32.0; 0.0 |];
+       [| -8.0; -2.0; -48.0; 0.25 |]; [| 0.0; -12.0; -2.0; -2.0 |] |]
+  and g = [| 56.0; 0.0; 6.0; 0.0 |] in
+  let lp =
+    { Sx.n_vars = 8; objective = Array.make 8 0.0;
+      constraints =
+        List.init 4 (fun i ->
+            { Sx.coeffs = (4 + i, 1024.0) :: List.init 4 (fun j -> (j, -.m.(i).(j)));
+              op = Sx.Eq; rhs = 1024000.0 }) }
+  in
+  let bounds = List.init 4 (fun i -> (4 + i, 1000.0 +. (g.(i) /. 1024.0))) in
+  (m, g, lp, bounds)
+
+let ilp_warm_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_ilp_matches_cold; prop_one_node_is_the_root_lp; prop_reserve_keeps_root ]
+  @ [
+      Alcotest.test_case "Beale LP: reserve keeps Bland's switch point" `Quick
+        (fun () ->
+          Alcotest.(check bool) "same pivots and bits" true
+            (warm_root_same ~reserve:40 (beale ())));
+      Alcotest.test_case "a dual-degenerate re-solve ends under Bland's rule" `Quick
+        (fun () ->
+          let m, g, lp, bounds = dual_cycling () in
+          let root, w = Sx.solve_warm ~reserve:4 lp in
+          Alcotest.(check bool) "v nonbasic at the root" true
+            (Array.for_all (fun v -> Float.equal v 0.0) (Array.sub (optimum root).Sx.x 0 4));
+          List.iter (fun (j, b) -> Sx.add_bound w j Sx.Ge b) bounds;
+          let cold =
+            Sx.solve
+              { lp with
+                Sx.constraints =
+                  lp.Sx.constraints
+                  @ List.map (fun (j, b) -> { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Ge; rhs = b }) bounds }
+          in
+          match (Sx.resolve w, cold) with
+          | Sx.Optimal s, Sx.Optimal _ ->
+              Array.iteri
+                (fun i row ->
+                  let lhs = ref 0.0 in
+                  Array.iteri (fun j a -> lhs := !lhs +. (a *. s.Sx.x.(j))) row;
+                  Alcotest.(check bool) (Printf.sprintf "row %d holds" i) true
+                    (!lhs >= g.(i) -. 1e-9))
+                m
+          | Sx.Infeasible, Sx.Infeasible -> ()
+          | r, c ->
+              Alcotest.failf "warm %a, cold %a" Sx.pp_result r Sx.pp_result c);
+      Alcotest.test_case "an infeasible child, then its sibling" `Quick
+        (fun () ->
+          (* max x s.t. 4x <= 7: the root has x = 1.75, so the up child
+             x >= 2 is solved first, warm from its parent, and is
+             infeasible; the down child x <= 1 gives the optimum *)
+          let lp =
+            { Sx.n_vars = 1; objective = [| -1.0 |];
+              constraints = [ { Sx.coeffs = [ (0, 4.0) ]; op = Sx.Le; rhs = 7.0 } ] }
+          in
+          let root, w = Sx.solve_warm ~reserve:1 lp in
+          Alcotest.(check (float 1e-12)) "root" 1.75 (optimum root).Sx.x.(0);
+          Sx.add_bound w 0 Sx.Ge 2.0;
+          Alcotest.(check bool) "up child infeasible" true
+            (match Sx.resolve w with Sx.Infeasible -> true | _ -> false);
+          let p = { I.base = lp; kinds = [| I.Integer |] } in
+          let r = I.solve p and r_ref = Ilp_ref.solve p in
+          Alcotest.(check bool) "optimal" true (r.I.status = I.Ilp_optimal);
+          Alcotest.(check (float 1e-12)) "x" 1.0 r.I.x.(0);
+          Alcotest.(check int) "nodes as the cold search" r_ref.I.nodes r.I.nodes);
+      Alcotest.test_case "a backtrack restores the root" `Quick (fun () ->
+          let root, w = Sx.solve_warm ~reserve:3 (gap_lp ()) in
+          let root = optimum root in
+          Sx.add_bound w 0 Sx.Le 2.0;
+          check_close "x <= 2"
+            (optimum (Sx.solve (with_row (gap_lp ()) 0 Sx.Le 2.0)))
+            (optimum (Sx.resolve w));
+          Sx.add_bound w 1 Sx.Le 2.0;
+          ignore (optimum (Sx.resolve w));
+          (* back to the root: x <= 2 and y <= 2 must be gone *)
+          Sx.reset w;
+          let again, pivots = counted pivots_counter (fun () -> Sx.resolve w) in
+          Alcotest.(check int) "root needs no pivot" 0 pivots;
+          Alcotest.(check bool) "root bits" true
+            (Array.for_all2 Float.equal root.Sx.x (optimum again).Sx.x);
+          Sx.add_bound w 0 Sx.Ge 3.0;
+          check_close "x >= 3 alone"
+            (optimum (Sx.solve (with_row (gap_lp ()) 0 Sx.Ge 3.0)))
+            (optimum (Sx.resolve w));
+          let p = { I.base = gap_lp (); kinds = [| I.Integer; I.Integer |] } in
+          Alcotest.(check bool) "search as the cold one" true
+            (same_outcome (I.solve p) (Ilp_ref.solve p)));
+      Alcotest.test_case "budget truncation is counted" `Quick (fun () ->
+          let truncated = Telemetry.Counter.make "ilp.truncated" in
+          let p = { I.base = gap_lp (); kinds = [| I.Integer; I.Integer |] } in
+          let r, n = counted truncated (fun () -> I.solve ~max_nodes:2 p) in
+          Alcotest.(check bool) "feasible at best" true (r.I.status <> I.Ilp_optimal);
+          Alcotest.(check int) "counted once" 1 n;
+          let r, n = counted truncated (fun () -> I.solve p) in
+          Alcotest.(check bool) "proved" true (r.I.status = I.Ilp_optimal);
+          Alcotest.(check int) "not counted" 0 n);
+    ]
+
 (* Reference equivalence of the density kernels: the workspace
    spectral solve, the cover-based electrostatic model and the
    table-based bell smoothing against the allocating kernels they
@@ -492,5 +765,6 @@ let suites =
           prop_hpwl_consistency; prop_island_packing_legal;
           prop_fom_monotone_spread ] );
     ("simplex.equivalence", equivalence_tests);
+    ("ilp.warm", ilp_warm_tests);
     ("density.equivalence", density_equivalence_tests);
   ]
