@@ -10,10 +10,19 @@
    constraints only for device pairs that overlap after global
    placement (Eq. 4e); we add one for *every* pair (direction taken
    from the global placement), which is the constraint-graph closure of
-   that rule and guarantees a legal result for any GP input. Pairs
-   bound by a cross-coordinate equality (symmetric pairs, alignment
-   pairs) or by an ordering chain have their separation axis forced to
-   the consistent one. *)
+   that rule: any layout it admits is overlap-free. Pairs bound by a
+   cross-coordinate equality (symmetric pairs, alignment pairs) or by
+   an ordering chain have their separation axis forced to the
+   consistent one. The closure can still be infeasible (it is on
+   Scaled-240's first pass); [run] then falls back to the paper's
+   overlap-only rule.
+
+   Each multi-pin net e is a pair (hi_e, span_e) with lo_e = hi_e -
+   span_e, so its wirelength term is w_e * span_e instead of
+   w_e * hi_e - w_e * lo_e. The two are the same LP (span_e >= 0 holds
+   at every feasible point, as lo_e <= pin <= hi_e), but every cost is
+   now >= 0, so [Simplex.solve_dual] solves each LP from the slack
+   basis with no phase 1. *)
 
 module CS = Netlist.Constraint_set
 module Sx = Numerics.Simplex
@@ -98,7 +107,7 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
     |> List.filter (fun e -> Netlist.Net.degree e >= 2)
   in
   let n_nets = List.length multi_nets in
-  let lo_var k = n + !n_flip + (2 * k) in
+  let span_var k = n + !n_flip + (2 * k) in
   let hi_var k = n + !n_flip + (2 * k) + 1 in
   let extent_var = n + !n_flip + (2 * n_nets) in
   (* symmetry-axis variables for the groups active on this axis *)
@@ -118,8 +127,7 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
   let objective = Array.make n_vars 0.0 in
   List.iteri
     (fun k (e : Netlist.Net.t) ->
-      objective.(lo_var k) <- -.e.Netlist.Net.weight;
-      objective.(hi_var k) <- e.Netlist.Net.weight)
+      objective.(span_var k) <- e.Netlist.Net.weight)
     multi_nets;
   objective.(extent_var) <- p.mu *. tilde_other /. 2.0;
   let constraints = ref [] in
@@ -139,8 +147,8 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
           let a = off -. (0.5 *. size i) in
           let b = size i -. (2.0 *. off) in
           let fterm = if fvar.(i) >= 0 then [ (fvar.(i), b) ] else [] in
-          (* lo_e <= coord_i + a + f*b *)
-          add ((lo_var k, 1.0) :: (i, -1.0)
+          (* hi_e - span_e <= coord_i + a + f*b *)
+          add ((hi_var k, 1.0) :: (span_var k, -1.0) :: (i, -1.0)
                :: List.map (fun (v, cf) -> (v, -.cf)) fterm)
             Sx.Le a;
           (* coord_i + a + f*b <= hi_e *)
@@ -208,74 +216,65 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
       end)
     cs.CS.orders;
   let base_constraints = List.rev !constraints in
-  let solve_ilp () =
-    let kinds = Array.make n_vars I.Continuous in
-    for i = 0 to n - 1 do
-      if fvar.(i) >= 0 then kinds.(fvar.(i)) <- I.Binary
-    done;
-    I.solve ~max_nodes:p.max_nodes
-      { I.base = { Sx.n_vars; objective; constraints = base_constraints };
-        kinds }
-  in
-  (* Flip_round: solve the relaxation (f in [0,1]), round the flips,
-     then re-solve with flips pinned — two LPs instead of a tree. *)
+  let lp constraints = { Sx.n_vars; objective; constraints } in
+  (* Flip_round: solve the relaxation (f in [0,1]), then pin every flip
+     to its rounded value by a bound row and re-solve warm by dual
+     simplex: two LPs instead of a tree. *)
   let solve_round () =
-    let kinds = Array.make n_vars I.Continuous in
     let fbounds =
-      List.concat
-        (List.init n (fun i ->
-             if fvar.(i) >= 0 then
-               [ { Sx.coeffs = [ (fvar.(i), 1.0) ]; op = Sx.Le; rhs = 1.0 } ]
-             else []))
+      List.filter_map
+        (fun v ->
+          if v < 0 then None
+          else Some { Sx.coeffs = [ (v, 1.0) ]; op = Sx.Le; rhs = 1.0 })
+        (Array.to_list fvar)
     in
-    let relax =
-      I.solve ~max_nodes:1
-        { I.base =
-            { Sx.n_vars; objective; constraints = fbounds @ base_constraints };
-          kinds }
-    in
-    match relax.I.status with
-    | I.Ilp_infeasible | I.Ilp_unbounded -> relax
-    | I.Ilp_optimal | I.Ilp_feasible ->
-        let pins =
-          List.concat
-            (List.init n (fun i ->
-                 if fvar.(i) >= 0 then
-                   [ { Sx.coeffs = [ (fvar.(i), 1.0) ]; op = Sx.Eq;
-                       rhs = (if relax.I.x.(fvar.(i)) > 0.5 then 1.0 else 0.0) } ]
-                 else []))
-        in
-        I.solve ~max_nodes:1
-          { I.base =
-              { Sx.n_vars; objective; constraints = pins @ base_constraints };
-            kinds }
+    match Sx.solve_dual ~reserve:!n_flip (lp (fbounds @ base_constraints)) with
+    | Sx.Optimal relax, w ->
+        Array.iter
+          (fun v ->
+            if v >= 0 then
+              if relax.Sx.x.(v) > 0.5 then Sx.add_bound w v Sx.Ge 1.0
+              else Sx.add_bound w v Sx.Le 0.0)
+          fvar;
+        Sx.resolve w
+    | r, _ -> r
   in
-  let r =
+  let of_lp = function
+    | Sx.Optimal s -> Ok (s.Sx.x, 1)
+    | Sx.Infeasible -> Error ("infeasible", 1)
+    | Sx.Iter_limit -> Error ("iteration-limit", 1)
+    | Sx.Unbounded -> Error ("unbounded", 1)
+  in
+  let outcome =
     match p.flip with
-    | Flip_exact -> solve_ilp ()
-    | Flip_round -> solve_round ()
-    | Flip_off -> solve_ilp () (* no binaries present *)
+    | Flip_exact -> (
+        let kinds = Array.make n_vars I.Continuous in
+        Array.iter (fun v -> if v >= 0 then kinds.(v) <- I.Binary) fvar;
+        let r =
+          I.solve ~max_nodes:p.max_nodes { I.base = lp base_constraints; kinds }
+        in
+        match r.I.status with
+        | I.Ilp_optimal | I.Ilp_feasible -> Ok (r.I.x, r.I.nodes)
+        | I.Ilp_infeasible -> Error ("infeasible", r.I.nodes)
+        | I.Ilp_unbounded -> Error ("unbounded", r.I.nodes))
+    | Flip_round -> of_lp (solve_round ())
+    | Flip_off ->
+        of_lp (fst (Sx.solve_dual ~reserve:0 (lp base_constraints)))
   in
-  match r.I.status with
-  | I.Ilp_optimal | I.Ilp_feasible ->
+  match outcome with
+  | Ok (x, nodes) ->
       Some
         {
-          coords = Array.init n (fun i -> r.I.x.(i));
-          flips =
-            Array.init n (fun i ->
-                fvar.(i) >= 0 && r.I.x.(fvar.(i)) > 0.5);
-          extent = r.I.x.(extent_var);
-          nodes = r.I.nodes;
+          coords = Array.sub x 0 n;
+          flips = Array.init n (fun i -> fvar.(i) >= 0 && x.(fvar.(i)) > 0.5);
+          extent = x.(extent_var);
+          nodes;
         }
-  | I.Ilp_infeasible | I.Ilp_unbounded ->
+  | Error (status, nodes) ->
       if p.debug then
         Fmt.epr "dp_ilp: axis %s status %s nodes %d@."
           (match axis with X_axis -> "X" | Y_axis -> "Y")
-          (match r.I.status with
-          | I.Ilp_infeasible -> "infeasible"
-          | I.Ilp_unbounded -> "unbounded"
-          | I.Ilp_optimal | I.Ilp_feasible -> "?")
-          r.I.nodes;
+          status nodes;
       None
 
 (* --- public driver --- *)

@@ -1,11 +1,16 @@
 (** ePlace-A's integrated ILP legalization + detailed placement
     (paper Eq. 4): single-stage area and wirelength minimisation with
     device flipping, hard symmetry, alignment and ordering constraints,
-    solved as two per-axis ILPs (the formulation is separable). *)
+    solved as two per-axis ILPs (the formulation is separable). Each
+    net is a [(hi, span)] pair, so every cost is [>= 0] and the LPs are
+    solved by {!Numerics.Simplex.solve_dual} with no phase 1; only
+    [Flip_exact] goes through {!Numerics.Ilp}. *)
 
 type flip_strategy =
   | Flip_exact  (** flip binaries solved exactly by branch and bound *)
-  | Flip_round  (** LP relaxation + rounding + one re-solve (default) *)
+  | Flip_round
+      (** LP relaxation, rounding, one warm dual re-solve with the
+          flips bounded (default) *)
   | Flip_off  (** no device flipping, as in the prior work [11] *)
 
 type params = {

@@ -41,18 +41,28 @@ let default_score l = Netlist.Layout.area l *. Netlist.Layout.hpwl l
 let place ?(params = default_params) ?perf ?(score = default_score)
     (c : Netlist.Circuit.t) =
   let t0 = Telemetry.now () in
-  let best = ref None in
-  for k = 0 to max 0 (params.restarts - 1) do
-    let seed = params.gp.Gp_params.seed + k in
-    match place_once params ?perf c ~seed with
-    | Some (gp_result, dp_result) ->
-        let s = score dp_result.Dp_ilp.layout in
-        (match !best with
-        | Some (s0, _, _) when s0 <= s -> ()
-        | _ -> best := Some (s, gp_result, dp_result))
-    | None -> ()
-  done;
-  match !best with
+  let seeds =
+    Array.init (max 1 params.restarts) (fun k -> params.gp.Gp_params.seed + k)
+  in
+  let runs =
+    Pool.map (Pool.default ())
+      (fun seed -> place_once params ?perf c ~seed)
+      seeds
+  in
+  (* scored in task order; a tie keeps the lowest seed *)
+  let best =
+    Array.fold_left
+      (fun best run ->
+        match run with
+        | Some (gp_result, dp_result) -> (
+            let s = score dp_result.Dp_ilp.layout in
+            match best with
+            | Some (s0, _, _) when s0 <= s -> best
+            | _ -> Some (s, gp_result, dp_result))
+        | None -> best)
+      None runs
+  in
+  match best with
   | Some (_, gp_result, dp_result) ->
       Some
         {

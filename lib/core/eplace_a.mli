@@ -6,7 +6,9 @@ type params = {
   gp : Gp_params.t;
   dp : Dp_ilp.params;
   dp_passes : int;  (** DP refinement passes (the second pass compacts) *)
-  restarts : int;  (** GP seeds tried; the best area x HPWL result wins *)
+  restarts : int;
+      (** GP seeds tried, fanned out on {!Pool.default}; the best
+          area x HPWL result wins, a tie going to the lowest seed *)
 }
 
 val default_params : params

@@ -4,8 +4,8 @@
    root plus the bound rows of its branching path, re-solved by dual
    simplex on one working tableau ([Simplex.solve_warm]). A child of
    the node just solved adds its one bound row; any other node (a
-   backtrack) first resets the tableau to the root optimum and adds
-   its whole path. *)
+   backtrack) first resets the tableau to the root optimum, saved when
+   the root branches, and adds its whole path. *)
 
 type vartype = Continuous | Integer | Binary
 
@@ -127,6 +127,9 @@ let solve ?(max_nodes = 500) (p : problem) =
                   incumbent_obj := sol.Simplex.objective_value
                 end
                 else begin
+                  (match node.path with
+                  | [] -> Option.iter Simplex.save_root !warm
+                  | _ :: _ -> ());
                   let j = !pick in
                   let v = sol.Simplex.x.(j) in
                   let child op rhs =

@@ -8,9 +8,10 @@
     ([x_j <= floor v] or [x_j >= ceil v]), re-solved by dual simplex on
     one reused working tableau ({!Simplex.solve_warm}): a child of the
     node just solved adds its one row, and any other node first resets
-    the tableau to the root optimum and adds its whole path. The root
-    takes the pivots and bits of {!Simplex.solve} on the binary bounds
-    followed by the base rows. *)
+    the tableau to the root optimum, copied once when the root
+    branches, and adds its whole path. The root takes the pivots and
+    bits of {!Simplex.solve} on the binary bounds followed by the base
+    rows. *)
 
 type vartype = Continuous | Integer | Binary
 

@@ -31,7 +31,13 @@
    terms of the current basis. The reduced costs do not change, so the
    basis stays dual feasible and [resolve] restores primal
    feasibility by dual simplex. [reset] returns the working tableau to
-   the root optimum, copied on the first [add_bound]. *)
+   the root optimum that [save_root] copied.
+
+   No phase 1. [solve_dual] gives every row its own basic column: a
+   slack for a Le row and for a negated Ge row, an artificial (a slack
+   fixed at 0, which never enters) for an Eq row. For costs >= 0 the
+   reduced costs of that basis are the costs, so it is dual feasible,
+   and the same dual loop as a warm re-solve finishes the LP from it. *)
 
 type op = Le | Ge | Eq
 
@@ -72,6 +78,32 @@ type tableau = {
   mutable pivots : int;
 }
 
+(* A zero tableau of [m] rows, room for [reserve] more, every logical
+   column at its own stored column and no basis yet. *)
+let alloc ~m ~reserve ~ncols ~art_start ~rhs_col =
+  (* reserved rows are allocated when first added *)
+  let t =
+    Array.init (m + reserve) (fun i ->
+        if i < m then Array.make (rhs_col + 1) 0.0 else [||])
+  in
+  let lcol = Array.init (rhs_col + 1) Fun.id in
+  lcol.(rhs_col) <- ncols;
+  { m; ncols; art_start; rhs_col;
+    bland_after = 5 * (m + ncols - reserve);
+    t; z = Array.make (ncols + 1) 0.0; basis = Array.make (m + reserve) (-1);
+    col = Array.init ncols Fun.id; neg = Array.make ncols false; lcol;
+    ge_art = Array.make (rhs_col + 1) (-1); nz = Array.make (rhs_col + 1) 0;
+    pivots = 0 }
+
+(* Write one sparse row and its rhs into a zero stored row. *)
+let fill_row (p : problem) row ~rhs_col coeffs rhs =
+  List.iter
+    (fun (j, a) ->
+      if j < 0 || j >= p.n_vars then invalid_arg "Simplex: var index";
+      row.(j) <- row.(j) +. a)
+    coeffs;
+  row.(rhs_col) <- rhs
+
 let build ~reserve (p : problem) =
   let m = List.length p.constraints in
   let rows = Array.of_list p.constraints in
@@ -93,27 +125,16 @@ let build ~reserve (p : problem) =
   in
   let n_le = count Le and n_ge = count Ge and n_eq = count Eq in
   let art_start = p.n_vars + n_le + n_ge + reserve in
-  let ncols = art_start + n_ge + n_eq in
-  let rhs_col = art_start + n_eq in
-  (* reserved rows are allocated when first added *)
-  let t =
-    Array.init (m + reserve) (fun i ->
-        if i < m then Array.make (rhs_col + 1) 0.0 else [||])
+  let tab =
+    alloc ~m ~reserve ~ncols:(art_start + n_ge + n_eq) ~art_start
+      ~rhs_col:(art_start + n_eq)
   in
-  let basis = Array.make (m + reserve) (-1) in
-  let col = Array.init ncols Fun.id and neg = Array.make ncols false in
-  let lcol = Array.init (rhs_col + 1) Fun.id in
-  let ge_art = Array.make (rhs_col + 1) (-1) in
-  lcol.(rhs_col) <- ncols;
+  let t = tab.t and basis = tab.basis and col = tab.col and neg = tab.neg in
+  let lcol = tab.lcol and ge_art = tab.ge_art and rhs_col = tab.rhs_col in
   let slack = ref p.n_vars and art = ref art_start and eq = ref art_start in
   Array.iteri
     (fun i r ->
-      List.iter
-        (fun (j, a) ->
-          if j < 0 || j >= p.n_vars then invalid_arg "Simplex: var index";
-          t.(i).(j) <- t.(i).(j) +. a)
-        r.coeffs;
-      t.(i).(rhs_col) <- r.rhs;
+      fill_row p t.(i) ~rhs_col r.coeffs r.rhs;
       (match r.op with
       | Le ->
           t.(i).(!slack) <- 1.0;
@@ -135,10 +156,39 @@ let build ~reserve (p : problem) =
           incr eq;
           incr art))
     rows;
-  { m; ncols; art_start; rhs_col;
-    bland_after = 5 * (m + ncols - reserve);
-    t; z = Array.make (ncols + 1) 0.0; basis;
-    col; neg; lcol; ge_art; nz = Array.make (rhs_col + 1) 0; pivots = 0 }
+  tab
+
+(* The tableau of [solve_dual]: every row with its own column basic
+   and the rhs kept whatever its sign. A Le row takes a slack, a Ge row
+   is negated and takes a slack, and an Eq row takes an artificial,
+   i.e. a slack fixed at 0 that never enters. With every cost >= 0 the
+   reduced costs are the costs themselves, so this basis is dual
+   feasible. *)
+let build_dual ~reserve (p : problem) =
+  let rows = Array.of_list p.constraints in
+  let m = Array.length rows in
+  let n_eq =
+    Array.fold_left (fun n r -> if r.op = Eq then n + 1 else n) 0 rows
+  in
+  let art_start = p.n_vars + m - n_eq + reserve in
+  let ncols = art_start + n_eq in
+  let tab = alloc ~m ~reserve ~ncols ~art_start ~rhs_col:ncols in
+  let slack = ref p.n_vars and art = ref art_start in
+  Array.iteri
+    (fun i r ->
+      let coeffs, rhs =
+        match r.op with
+        | Le | Eq -> (r.coeffs, r.rhs)
+        | Ge -> (List.map (fun (j, a) -> (j, -.a)) r.coeffs, -.r.rhs)
+      in
+      fill_row p tab.t.(i) ~rhs_col:ncols coeffs rhs;
+      let s = match r.op with Le | Ge -> slack | Eq -> art in
+      tab.t.(i).(!s) <- 1.0;
+      tab.basis.(i) <- !s;
+      incr s)
+    rows;
+  Array.blit p.objective 0 tab.z 0 p.n_vars;
+  tab
 
 (* Tableau entry of logical column [j] in stored row [r]. *)
 let[@inline] entry tab r j =
@@ -358,29 +408,41 @@ type warm = {
   mutable root : root option;  (* the root optimum, once copied *)
 }
 
-let build_checked ~reserve (p : problem) =
+let checked ~reserve (p : problem) =
   if Array.length p.objective <> p.n_vars then
     invalid_arg "Simplex.solve: objective size";
-  if reserve < 0 then invalid_arg "Simplex.solve_warm: reserve";
-  build ~reserve p
+  if reserve < 0 then invalid_arg "Simplex.solve_warm: reserve"
 
 let run_counted ~max_iter p tab =
   let result = run ~max_iter p tab in
   Telemetry.Counter.add pivots_counter tab.pivots;
   result
 
+let warm_of p tab ~reserve =
+  { problem = p; work = tab; root_m = tab.m;
+    slack0 = tab.art_start - reserve; root = None }
+
 let solve ?(max_iter = 20000) p =
-  run_counted ~max_iter p (build_checked ~reserve:0 p)
+  checked ~reserve:0 p;
+  run_counted ~max_iter p (build ~reserve:0 p)
 
 let solve_warm ?(max_iter = 20000) ~reserve p =
-  let tab = build_checked ~reserve p in
-  ( run_counted ~max_iter p tab,
-    { problem = p; work = tab; root_m = tab.m;
-      slack0 = tab.art_start - reserve; root = None } )
+  checked ~reserve p;
+  let tab = build ~reserve p in
+  (run_counted ~max_iter p tab, warm_of p tab ~reserve)
+
+let save_root w =
+  let tab = w.work in
+  if tab.m <> w.root_m then invalid_arg "Simplex.save_root: bound rows added";
+  w.root <-
+    Some
+      { root_rows = Array.init w.root_m (fun i -> sparse tab.t.(i));
+        root_z = Array.copy tab.z;
+        root_basis = Array.sub tab.basis 0 w.root_m }
 
 let reset w =
   match w.root with
-  | None -> ()
+  | None -> invalid_arg "Simplex.reset: no saved root"
   | Some r ->
       let tab = w.work in
       for i = 0 to w.root_m - 1 do
@@ -403,12 +465,6 @@ let add_bound w j op b =
     | Ge -> -1.0
     | Eq -> invalid_arg "Simplex.add_bound: Eq"
   in
-  if Option.is_none w.root then
-    w.root <-
-      Some
-        { root_rows = Array.init w.root_m (fun i -> sparse tab.t.(i));
-          root_z = Array.copy tab.z;
-          root_basis = Array.sub tab.basis 0 w.root_m };
   (* sign * x_j + s = sign * b, minus sign times x_j's row if x_j is
      basic; the reserved column s is zero in every row in use *)
   if Array.length tab.t.(k) = 0 then tab.t.(k) <- Array.make (tab.rhs_col + 1) 0.0
@@ -438,10 +494,12 @@ let add_bound w j op b =
 
 (* Dual simplex from a dual-feasible basis: a row with a negative rhs
    leaves, and the column below [limit] with the smallest ratio
-   z_j / -a_j enters. Until the stall budget is spent, the most
-   negative row leaves and ratio ties go to the larger |a_j|, then to
-   the smaller index. After it, Bland's rule: the row whose basic
-   column has the smallest index leaves and ratio ties go to the
+   z_j / -a_j enters. A basic artificial is fixed at 0, so its row
+   also leaves on a positive rhs, and then the sign of the row is
+   flipped for the ratio test. Until the stall budget is spent, the
+   most infeasible row leaves and ratio ties go to the larger |a_j|,
+   then to the smaller index. After it, Bland's rule: the row whose
+   basic column has the smallest index leaves and ratio ties go to the
    smallest index alone, which cannot cycle. *)
 let dual_iterate ~max_iter tab ~limit =
   let rec go k =
@@ -451,6 +509,7 @@ let dual_iterate ~max_iter tab ~limit =
       let row = ref (-1) and worst = ref (-.eps) in
       for i = 0 to tab.m - 1 do
         let v = tab.t.(i).(tab.rhs_col) in
+        let v = if tab.basis.(i) >= tab.art_start then -.abs_float v else v in
         if not bland then begin
           if v < !worst then begin
             worst := v;
@@ -463,9 +522,10 @@ let dual_iterate ~max_iter tab ~limit =
       if !row < 0 then `Optimal
       else begin
         let r = tab.t.(!row) in
+        let up = r.(tab.rhs_col) > 0.0 in
         let enter = ref (-1) and best = ref infinity and best_a = ref 0.0 in
         for j = 0 to limit - 1 do
-          let a = entry tab r j in
+          let a = if up then -.entry tab r j else entry tab r j in
           if a < -.eps then begin
             let ratio = Float.max 0.0 tab.z.(j) /. -.a in
             if
@@ -499,6 +559,14 @@ let resolve ?(max_iter = 20000) w =
   in
   Telemetry.Counter.add pivots_counter (tab.pivots - before);
   result
+
+let solve_dual ?max_iter ~reserve p =
+  checked ~reserve p;
+  (* [not (c >= 0)] also refuses a nan cost *)
+  if Array.exists (fun c -> not (c >= 0.0)) p.objective then
+    invalid_arg "Simplex.solve_dual: negative cost";
+  let w = warm_of p (build_dual ~reserve p) ~reserve in
+  (resolve ?max_iter w, w)
 
 let pp_result ppf = function
   | Optimal s -> Fmt.pf ppf "optimal(%.6g)" s.objective_value

@@ -1,12 +1,16 @@
-(** Two-phase primal simplex for linear programs
+(** Simplex for linear programs
 
     {[ minimize c.x  subject to  a_i.x (<= | = | >=) b_i,  x >= 0 ]}
 
-    This powers the LP legalization / detailed placement of the prior
-    analytical work and the LP relaxations inside the ILP
-    branch-and-bound, whose nodes are warm-started by dual simplex
-    (see {!section:warm}). Pricing is Dantzig's rule, with Bland's rule
-    after a stall budget, in the primal and the dual loop alike.
+    Two algorithms solve an LP from scratch. {!solve} is two-phase primal
+    simplex and takes any costs: it powers the window ILPs of the
+    matheuristic and the root relaxations of the ILP branch and bound,
+    whose other nodes are warm-started by dual simplex (see
+    {!section:warm}). {!solve_dual} takes only costs [>= 0] and needs no
+    phase 1: it runs the same dual loop from the slack basis. Both
+    legalizers (ePlace-A's and the prior work's) write their LPs that
+    way and use it. Pricing is Dantzig's rule, with Bland's rule after a
+    stall budget, in the primal and the dual loop alike.
 
     The tableau is stored row-major, but the rows it pivots on are
     sparse (a legalization pivot row is ~6 % nonzero), so a pivot
@@ -61,9 +65,9 @@ val solve : ?max_iter:int -> problem -> result
     re-solves, or the basis would lose that dual feasibility. *)
 
 type warm
-(** An LP solved by {!solve_warm}: its working tableau, with reserved
-    rows and slack columns for bound rows, and, once the first bound
-    row is added, a copy of the root optimum. *)
+(** An LP solved by {!solve_warm} or {!solve_dual}: its working
+    tableau, with reserved rows and slack columns for bound rows, and,
+    once {!save_root} is called, a copy of the root optimum. *)
 
 val solve_warm : ?max_iter:int -> reserve:int -> problem -> result * warm
 (** [solve] with room for [reserve] bound rows. The reserved slack
@@ -73,22 +77,44 @@ val solve_warm : ?max_iter:int -> reserve:int -> problem -> result * warm
     those of [solve]. The [warm] is usable only if the result is
     [Optimal]. *)
 
+val solve_dual : ?max_iter:int -> reserve:int -> problem -> result * warm
+(** Dual simplex from the slack basis, with room for [reserve] bound
+    rows. Every row has its own column basic, at the row's rhs whatever
+    its sign: a slack for a [Le] row and for a negated [Ge] row, and
+    for an [Eq] row a slack fixed at 0 that never enters and leaves the
+    basis from either side. With every cost [>= 0] that basis is dual
+    feasible, so there is no phase 1. The result is [Optimal],
+    [Infeasible] or [Iter_limit], never [Unbounded]: [c >= 0] and
+    [x >= 0] bound the objective below by 0. An optimum of a
+    degenerate LP may be another vertex than {!solve}'s, at the same
+    objective. The [warm] takes {!add_bound} and {!resolve} as one from
+    {!solve_warm} does, and is usable only if the result is [Optimal].
+    Adds its pivots to [simplex.pivots].
+    @raise Invalid_argument on a negative or nan cost, or on malformed
+    input. *)
+
+val save_root : warm -> unit
+(** Copy the working tableau as the root optimum that {!reset} returns
+    to. Branch and bound calls it once, before its first branch; a
+    caller that never resets does not pay for the copy.
+    @raise Invalid_argument after a bound row was added. *)
+
 val add_bound : warm -> int -> op -> float -> unit
 (** [add_bound w j op b] adds the row [x_j op b] ([Le] or [Ge]) to the
-    working tableau, written in terms of the current basis. The first
-    call copies the tableau as the root optimum.
+    working tableau, written in terms of the current basis.
     @raise Invalid_argument on [Eq], a bad index, or more rows than
     reserved. *)
 
 val resolve : ?max_iter:int -> warm -> result
 (** Dual simplex on the working tableau from its current, dual-feasible
-    basis: [Optimal], [Infeasible] (a row with a negative rhs and no
-    entering column), or [Iter_limit]. Adds its pivots to
-    [simplex.pivots]. After [Optimal], more rows may be added and
-    resolved again. *)
+    basis: [Optimal], [Infeasible] (an infeasible row, i.e. a negative
+    rhs or a basic artificial away from 0, with no entering column), or
+    [Iter_limit]. Adds its pivots to [simplex.pivots]. After [Optimal],
+    more rows may be added and resolved again. *)
 
 val reset : warm -> unit
-(** Return the working tableau to the root optimum: every added row is
-    dropped. A no-op before the first {!add_bound}. *)
+(** Return the working tableau to the root optimum of {!save_root}:
+    every added row is dropped.
+    @raise Invalid_argument before {!save_root}. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -8,8 +8,11 @@
 
    Deviation noted in DESIGN.md: the originating papers add relative
    order constraints only for pairs overlapping after global placement;
-   [plan ~all_pairs:true] is the closure of that rule and guarantees a
-   legal result for any input placement. *)
+   [plan ~all_pairs:true] is the closure of that rule: every layout it
+   admits is overlap-free. It does not promise that one exists: with
+   symmetry and ordering equalities the closure can be infeasible (it
+   is on Scaled-240's first pass), and the detailed placers then fall
+   back to [plan ~all_pairs:false]. *)
 
 module CS = Netlist.Constraint_set
 

@@ -9,5 +9,6 @@ type sep = { lo : int; hi : int; along : axis }
 
 val plan :
   Netlist.Circuit.t -> gp:Netlist.Layout.t -> all_pairs:bool -> sep list
-(** [all_pairs = true] separates every pair (guaranteed-legal closure);
-    [false] uses the papers' overlap-only rule. *)
+(** [all_pairs = true] separates every pair (the closure: any layout
+    it admits is overlap-free, but it can be infeasible); [false] uses
+    the papers' overlap-only rule. *)

@@ -3,7 +3,11 @@
    minimises wirelength with the extents capped at the stage-1 optimum.
    No device flipping (the paper's reason (3) for its losses), and the
    two objectives are optimised sequentially instead of jointly (its
-   structural difference from ePlace-A's single-stage ILP). *)
+   structural difference from ePlace-A's single-stage ILP).
+
+   As in ePlace-A's legalizer, a net is a pair (hi, span) with
+   lo = hi - span, so both stages have costs >= 0 and are solved by
+   dual simplex from the slack basis ([Simplex.solve_dual]). *)
 
 module CS = Netlist.Constraint_set
 module SP = Place_common.Sep_plan
@@ -16,7 +20,7 @@ let default_params = { zeta = 0.55 }
 type stage = Area_stage | Wirelength_stage of float (* extent cap *)
 
 (* Build and solve one axis for one stage. Variable layout:
-   0..n-1 device coords; then 2 per multi-net (lo, hi) in wirelength
+   0..n-1 device coords; then 2 per multi-net (span, hi) in wirelength
    stage; extent; one axis var per active symmetry group. *)
 let solve_axis (c : Netlist.Circuit.t) ~(axis : SP.axis) ~(seps : SP.sep list)
     ~stage =
@@ -44,7 +48,7 @@ let solve_axis (c : Netlist.Circuit.t) ~(axis : SP.axis) ~(seps : SP.sep list)
     else []
   in
   let n_nets = List.length multi_nets in
-  let lo_var k = n + (2 * k) in
+  let span_var k = n + (2 * k) in
   let hi_var k = n + (2 * k) + 1 in
   let extent_var = n + (2 * n_nets) in
   let groups =
@@ -63,8 +67,7 @@ let solve_axis (c : Netlist.Circuit.t) ~(axis : SP.axis) ~(seps : SP.sep list)
   | Wirelength_stage _ ->
       List.iteri
         (fun k (e : Netlist.Net.t) ->
-          objective.(lo_var k) <- -.e.Netlist.Net.weight;
-          objective.(hi_var k) <- e.Netlist.Net.weight)
+          objective.(span_var k) <- e.Netlist.Net.weight)
         multi_nets);
   let constraints = ref [] in
   let add coeffs op rhs = constraints := { Sx.coeffs; op; rhs } :: !constraints in
@@ -81,7 +84,7 @@ let solve_axis (c : Netlist.Circuit.t) ~(axis : SP.axis) ~(seps : SP.sep list)
         (fun (t : Netlist.Net.terminal) ->
           let i = t.Netlist.Net.dev in
           let a = pin_off i t.Netlist.Net.pin -. (0.5 *. size i) in
-          add [ (lo_var k, 1.0); (i, -1.0) ] Sx.Le a;
+          add [ (hi_var k, 1.0); (span_var k, -1.0); (i, -1.0) ] Sx.Le a;
           add [ (i, 1.0); (hi_var k, -1.0) ] Sx.Le (-.a))
         e.Netlist.Net.terminals)
     multi_nets;
@@ -140,12 +143,12 @@ let solve_axis (c : Netlist.Circuit.t) ~(axis : SP.axis) ~(seps : SP.sep list)
       end)
     cs.CS.orders;
   match
-    Sx.solve
+    Sx.solve_dual ~reserve:0
       { Sx.n_vars; objective; constraints = List.rev !constraints }
   with
-  | Sx.Optimal s ->
+  | Sx.Optimal s, _ ->
       Some (Array.init n (fun i -> s.Sx.x.(i)), s.Sx.x.(extent_var))
-  | Sx.Infeasible | Sx.Unbounded | Sx.Iter_limit -> None
+  | (Sx.Infeasible | Sx.Unbounded | Sx.Iter_limit), _ -> None
 
 type result = { layout : Netlist.Layout.t; runtime_s : float }
 

@@ -7,7 +7,9 @@ type params = {
   gp : Ntu_gp.params;
   lp : Lp_stages.params;
   passes : int;  (** LP-stage refinement passes, matching ePlace-A *)
-  restarts : int;  (** GP seeds tried, matching ePlace-A *)
+  restarts : int;
+      (** GP seeds tried, fanned out on {!Pool.default} and selected as
+          in ePlace-A *)
 }
 
 val default_params : params

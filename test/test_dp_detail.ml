@@ -101,8 +101,11 @@ let lp_tests =
         | _ -> Alcotest.fail "flow failed");
   ]
 
-(* Bit-level goldens of the LP-driven placers. The values were captured
-   with the dense two-phase simplex kernel; any kernel that picks a
+(* Bit-level goldens of the LP-driven placers. The legalizer values were
+   captured with the (hi, span) net rows solved by dual simplex from the
+   slack basis; each LP's optimum equals the two-phase solve of the
+   (lo, hi) rows to 1e-14 relative, but a degenerate LP's vertex can
+   differ, and the next DP pass starts from it. Any kernel that picks a
    different optimal vertex (or rounds one entry differently on the way
    there) changes at least one of these bits. *)
 
@@ -164,14 +167,14 @@ let golden_tests =
   [
     Alcotest.test_case "ePlace-A, one restart, VCO1: bits pinned" `Quick
       (fun () ->
-        check_layout ~area:4643755306948963073L ~hpwl:4635419566251165351L
-          ~orients:"BBYYIXYYXIIIIIIIIX" ~coords:(-5988318664871894280L)
+        check_layout ~area:4643366167793660594L ~hpwl:4635222533767467895L
+          ~orients:"BBYYIXYYXIIIIIIIIX" ~coords:7402874754836168790L
           (eplace_once "VCO1"));
     Alcotest.test_case "ePlace-A, one restart, Scaled-40: bits pinned" `Quick
       (fun () ->
-        check_layout ~area:4636568969318563321L ~hpwl:4637603530595463336L
-          ~orients:"IIXIXIXYBIIXXIIIIIIYYIXBXIIXIYYYYIXXXIIIIIIYYIIB"
-          ~coords:(-6427824848201808268L)
+        check_layout ~area:4636241895395625536L ~hpwl:4637590160534069578L
+          ~orients:"IIXIXIIYBIXXXIXXIIIYYIXBIIXIIYBYYIIXXIIIIIIYYIXB"
+          ~coords:7349849510661971588L
           (eplace_once "Scaled-40"));
     Alcotest.test_case "prev [11] two-stage LP, Comp1: bits pinned" `Quick
       (fun () ->
@@ -183,8 +186,8 @@ let golden_tests =
             (Circuits.Testcases.get_exn "Comp1")
         with
         | Some r ->
-            check_layout ~area:4629672270987311198L ~hpwl:4627341656350559612L
-              ~orients:"IIIIIIIIIIIIIIII" ~coords:(-1893162270587857388L)
+            check_layout ~area:4629672270987311194L ~hpwl:4627341656350559614L
+              ~orients:"IIIIIIIIIIIIIIII" ~coords:8427130877533089950L
               r.Prevwork.Prev_analytical.layout
         | None -> Alcotest.fail "prev [11] failed on Comp1");
     Alcotest.test_case "window ILP objective: bits pinned" `Quick (fun () ->

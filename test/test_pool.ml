@@ -162,6 +162,33 @@ let determinism_tests =
              l4.Netlist.Layout.ys);
         Alcotest.(check (float 0.0)) "same best cost" c1 c4;
         Alcotest.(check int) "same eval count" e1 e4);
+    Alcotest.test_case "ePlace-A restarts identical for jobs 1 and 2" `Quick
+      (fun () ->
+        let c = Circuits.Testcases.get_exn "VCO1" in
+        let params = { Eplace.Eplace_a.default_params with restarts = 3 } in
+        let pivots () =
+          Telemetry.Counter.value (Telemetry.Counter.make "simplex.pivots")
+        in
+        let run jobs =
+          with_default_jobs jobs (fun () ->
+              let p0 = pivots () in
+              match Eplace.Eplace_a.place ~params c with
+              | Some r -> (r.Eplace.Eplace_a.layout, pivots () - p0)
+              | None -> Alcotest.fail "ePlace-A failed on VCO1")
+        in
+        let l1, p1 = run 1 in
+        let l2, p2 = run 2 in
+        let same =
+          Array.for_all2 (fun u v ->
+              Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+        in
+        Alcotest.(check bool) "xs bits" true
+          (same l1.Netlist.Layout.xs l2.Netlist.Layout.xs);
+        Alcotest.(check bool) "ys bits" true
+          (same l1.Netlist.Layout.ys l2.Netlist.Layout.ys);
+        Alcotest.(check bool) "orientations" true
+          (Array.for_all2 ( = ) l1.Netlist.Layout.orients l2.Netlist.Layout.orients);
+        Alcotest.(check int) "same pivot count" p1 p2);
     Alcotest.test_case "run_method rows identical for jobs 1 and 4"
       `Quick (fun () ->
         let m =

@@ -569,6 +569,7 @@ let ilp_warm_tests =
       Alcotest.test_case "a backtrack restores the root" `Quick (fun () ->
           let root, w = Sx.solve_warm ~reserve:3 (gap_lp ()) in
           let root = optimum root in
+          Sx.save_root w;
           Sx.add_bound w 0 Sx.Le 2.0;
           check_close "x <= 2"
             (optimum (Sx.solve (with_row (gap_lp ()) 0 Sx.Le 2.0)))
@@ -597,6 +598,293 @@ let ilp_warm_tests =
           let r, n = counted truncated (fun () -> I.solve p) in
           Alcotest.(check bool) "proved" true (r.I.status = I.Ilp_optimal);
           Alcotest.(check int) "not counted" 0 n);
+    ]
+
+(* Dual simplex from the slack basis ([Simplex.solve_dual]) against
+   two-phase [Simplex.solve]. A degenerate LP may end at another
+   optimal vertex, so the status and the objective are compared, and
+   the dual answer is checked against every row. *)
+let rel_close a b = abs_float (a -. b) <= 1e-9 *. Float.max 1.0 (abs_float b)
+
+let satisfies (p : Sx.problem) (s : Sx.solution) =
+  Array.for_all (fun v -> v >= -1e-9) s.Sx.x
+  && List.for_all
+       (fun (r : Sx.constr) ->
+         let lhs =
+           List.fold_left
+             (fun acc (j, a) -> acc +. (a *. s.Sx.x.(j)))
+             0.0 r.Sx.coeffs
+         in
+         let tol = 1e-7 *. Float.max 1.0 (abs_float r.Sx.rhs) in
+         match r.Sx.op with
+         | Sx.Le -> lhs <= r.Sx.rhs +. tol
+         | Sx.Ge -> lhs >= r.Sx.rhs -. tol
+         | Sx.Eq -> abs_float (lhs -. r.Sx.rhs) <= tol)
+       p.Sx.constraints
+
+let same_lp_outcome (p : Sx.problem) dual two_phase =
+  match (dual, two_phase) with
+  | Sx.Optimal a, Sx.Optimal b ->
+      rel_close a.Sx.objective_value b.Sx.objective_value && satisfies p a
+  | Sx.Infeasible, Sx.Infeasible -> true
+  | _ -> false
+
+(* Rows through or near a nonnegative integer point, as in [random_lp],
+   but every cost >= 0 (a third of them 0, so dual ratios tie), a third
+   of the rows repeated with the same rhs, and a row contradicting an
+   earlier one now and then: about a quarter of the LPs are
+   infeasible. *)
+let random_dual_lp seed =
+  let rng = Numerics.Rng.create seed in
+  let int lo hi = lo + Numerics.Rng.int rng (hi - lo + 1) in
+  let n = int 1 7 in
+  let x0 = Array.init n (fun _ -> float_of_int (int 0 3)) in
+  let row () =
+    let coeffs =
+      List.filter_map
+        (fun j ->
+          match int 0 5 with
+          | 0 | 1 -> None
+          | 2 -> Some (j, Numerics.Rng.uniform rng ~lo:(-2.0) ~hi:2.0)
+          | _ -> (
+              match int (-3) 3 with 0 -> None | a -> Some (j, float_of_int a)))
+        (List.init n Fun.id)
+    in
+    let ax0 =
+      List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0.0 coeffs
+    in
+    let gap = float_of_int (int 0 3) in
+    let k = int 0 9 in
+    let op = if k < 5 then Sx.Le else if k < 8 then Sx.Ge else Sx.Eq in
+    let rhs =
+      if int 0 19 = 0 then float_of_int (int (-6) 6)
+      else
+        match op with Sx.Le -> ax0 +. gap | Sx.Ge -> ax0 -. gap | Sx.Eq -> ax0
+    in
+    { Sx.coeffs; op; rhs }
+  in
+  let rows = List.init (int 1 9) (fun _ -> row ()) in
+  let tied = List.filter (fun _ -> int 0 2 = 0) rows in
+  let contradiction =
+    match rows with
+    | { Sx.coeffs = _ :: _ as coeffs; op = Sx.Le | Sx.Eq; rhs } :: _
+      when int 0 3 = 0 ->
+        [ { Sx.coeffs; op = Sx.Ge; rhs = rhs +. 1.0 } ]
+    | _ when int 0 9 = 0 ->
+        [ { Sx.coeffs = [ (0, 1.0) ]; op = Sx.Ge; rhs = 5.0 };
+          { Sx.coeffs = [ (0, 1.0) ]; op = Sx.Le; rhs = 2.0 } ]
+    | _ -> []
+  in
+  let objective =
+    Array.init n (fun _ ->
+        match int 0 5 with
+        | 0 | 1 -> 0.0
+        | 2 -> Numerics.Rng.uniform rng ~lo:0.0 ~hi:3.0
+        | _ -> float_of_int (int 1 3))
+  in
+  let max_iter = if int 0 9 = 0 then Some (int 0 3) else None in
+  ( { Sx.n_vars = n; objective; constraints = rows @ tied @ contradiction },
+    max_iter )
+
+let prop_dual_matches_two_phase =
+  Q.Test.make ~name:"dual simplex from the slack basis matches two-phase"
+    ~count:1000
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p, max_iter = random_dual_lp seed in
+      let (dual, _), pivots =
+        counted pivots_counter (fun () -> Sx.solve_dual ~reserve:0 p)
+      in
+      same_lp_outcome p dual (Sx.solve p)
+      &&
+      match max_iter with
+      | None -> true
+      | Some k -> (
+          (* as in [solve], the budget counts the iteration that finds
+             the optimum too: up to the pivots needed it stops the
+             solve, above them the solve ends as the unbudgeted one *)
+          match fst (Sx.solve_dual ~max_iter:k ~reserve:0 p) with
+          | Sx.Iter_limit -> pivots >= k
+          | capped -> pivots < k && same_lp_outcome p capped dual))
+
+(* One legalizer axis the way [Dp_ilp] writes it: coordinates in a
+   box of width [extent], separation (difference) rows along a random
+   device order, symmetric pairs about an axis variable as Eq rows,
+   each net as (hi, span) rows over pins that may move with a flip
+   variable, and f <= 1 rows. Costs: the net weights on span, an area
+   weight on the extent. *)
+let legalization_lp seed =
+  let rng = Numerics.Rng.create seed in
+  let int lo hi = lo + Numerics.Rng.int rng (hi - lo + 1) in
+  let u lo hi = Numerics.Rng.uniform rng ~lo ~hi in
+  let n = int 2 8 in
+  let size = Array.init n (fun _ -> float_of_int (int 1 4)) in
+  let flippable = Array.init n (fun _ -> int 0 2 > 0) in
+  let fvar = Array.make n (-1) in
+  let n_flip = ref 0 in
+  Array.iteri
+    (fun i f ->
+      if f then begin
+        fvar.(i) <- n + !n_flip;
+        incr n_flip
+      end)
+    flippable;
+  let n_nets = int 1 5 in
+  let span k = n + !n_flip + (2 * k) and hi k = n + !n_flip + (2 * k) + 1 in
+  let extent = n + !n_flip + (2 * n_nets) in
+  let axis = extent + 1 in
+  let n_vars = axis + 1 in
+  let rows = ref [] in
+  let add coeffs op rhs = rows := { Sx.coeffs; op; rhs } :: !rows in
+  for i = 0 to n - 1 do
+    add [ (i, 1.0) ] Sx.Ge (0.5 *. size.(i));
+    add [ (i, 1.0); (extent, -1.0) ] Sx.Le (-0.5 *. size.(i))
+  done;
+  (* a random order; each device separated from some of those before
+     it, now and then against the order, which can close a cycle *)
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = int 0 i in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  for k = 1 to n - 1 do
+    for l = 0 to k - 1 do
+      if int 0 2 = 0 then begin
+        let lo, hi =
+          if int 0 19 = 0 then (order.(k), order.(l)) else (order.(l), order.(k))
+        in
+        add [ (lo, 1.0); (hi, -1.0) ] Sx.Le (-0.5 *. (size.(lo) +. size.(hi)))
+      end
+    done
+  done;
+  if n >= 3 && int 0 1 = 0 then begin
+    add [ (order.(0), 1.0); (order.(n - 1), 1.0); (axis, -2.0) ] Sx.Eq 0.0;
+    add [ (order.(1), 1.0); (axis, -1.0) ] Sx.Eq 0.0
+  end;
+  let objective = Array.make n_vars 0.0 in
+  for k = 0 to n_nets - 1 do
+    objective.(span k) <- float_of_int (int 1 3);
+    let pins =
+      List.sort_uniq compare (List.init (int 2 4) (fun _ -> int 0 (n - 1)))
+    in
+    List.iter
+      (fun i ->
+        let off = u 0.0 size.(i) in
+        let a = off -. (0.5 *. size.(i)) and b = size.(i) -. (2.0 *. off) in
+        let f = if fvar.(i) >= 0 then [ (fvar.(i), b) ] else [] in
+        add ((hi k, 1.0) :: (span k, -1.0) :: (i, -1.0)
+             :: List.map (fun (v, c) -> (v, -.c)) f)
+          Sx.Le a;
+        add ((i, 1.0) :: (hi k, -1.0) :: f) Sx.Le (-.a))
+      pins
+  done;
+  objective.(extent) <- u 0.1 5.0;
+  let flips = List.filter (fun v -> v >= 0) (Array.to_list fvar) in
+  let fbounds =
+    List.map (fun v -> { Sx.coeffs = [ (v, 1.0) ]; op = Sx.Le; rhs = 1.0 }) flips
+  in
+  ({ Sx.n_vars; objective; constraints = fbounds @ List.rev !rows }, flips)
+
+let prop_dual_pins_match_eq_rows =
+  Q.Test.make
+    ~name:"legalization LP: dual solve, pin bounds and resolve match Eq pins"
+    ~count:300
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p, flips = legalization_lp seed in
+      let relax, w = Sx.solve_dual ~reserve:(List.length flips) p in
+      same_lp_outcome p relax (Sx.solve p)
+      &&
+      match relax with
+      | Sx.Optimal s ->
+          let up v = s.Sx.x.(v) > 0.5 in
+          List.iter
+            (fun v ->
+              if up v then Sx.add_bound w v Sx.Ge 1.0
+              else Sx.add_bound w v Sx.Le 0.0)
+            flips;
+          let pin v =
+            { Sx.coeffs = [ (v, 1.0) ]; op = Sx.Eq;
+              rhs = (if up v then 1.0 else 0.0) }
+          in
+          let pinned =
+            { p with Sx.constraints = List.map pin flips @ p.Sx.constraints }
+          in
+          same_lp_outcome pinned (Sx.resolve w) (Sx.solve pinned)
+      | _ -> true)
+
+let dual_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_dual_matches_two_phase; prop_dual_pins_match_eq_rows ]
+  @ [
+      Alcotest.test_case "a negative or nan cost is refused" `Quick (fun () ->
+          let lp c =
+            { Sx.n_vars = 2; objective = [| 1.0; c |];
+              constraints =
+                [ { Sx.coeffs = [ (0, 1.0); (1, 1.0) ]; op = Sx.Ge; rhs = 1.0 } ] }
+          in
+          List.iter
+            (fun c ->
+              Alcotest.check_raises (Printf.sprintf "cost %g" c)
+                (Invalid_argument "Simplex.solve_dual: negative cost")
+                (fun () -> ignore (Sx.solve_dual ~reserve:0 (lp c))))
+            [ -1e-12; Float.nan ];
+          (* -0 is not negative *)
+          ignore (optimum (fst (Sx.solve_dual ~reserve:0 (lp (-0.0))))));
+      Alcotest.test_case "an equality's slack leaves from either side" `Quick
+        (fun () ->
+          (* the Eq row's basic slack is fixed at 0: it starts at the
+             rhs, above or below 0, and must leave either way *)
+          let lp coeffs rhs =
+            { Sx.n_vars = 2; objective = [| 1.0; 2.0 |];
+              constraints = [ { Sx.coeffs; op = Sx.Eq; rhs } ] }
+          in
+          let dual p = fst (Sx.solve_dual ~reserve:0 p) in
+          let infeasible = function Sx.Infeasible -> true | _ -> false in
+          let x_plus_y = [ (0, 1.0); (1, 1.0) ] in
+          let minus = List.map (fun (j, a) -> (j, -.a)) x_plus_y in
+          let best = { Sx.x = [| 3.0; 0.0 |]; objective_value = 3.0 } in
+          check_close "x + y = 3" best (optimum (dual (lp x_plus_y 3.0)));
+          check_close "-x - y = -3" best (optimum (dual (lp minus (-3.0))));
+          Alcotest.(check bool) "x + y = -1" true
+            (infeasible (dual (lp x_plus_y (-1.0))));
+          Alcotest.(check bool) "-x - y = 1" true
+            (infeasible (dual (lp minus 1.0))));
+      Alcotest.test_case "an infeasible separation cycle is Infeasible" `Quick
+        (fun () ->
+          (* x0 + 1 <= x1, x1 + 1 <= x2, x2 + 1 <= x0, zero costs *)
+          let sep lo hi =
+            { Sx.coeffs = [ (lo, 1.0); (hi, -1.0) ]; op = Sx.Le; rhs = -1.0 }
+          in
+          let lp =
+            { Sx.n_vars = 3; objective = Array.make 3 0.0;
+              constraints = [ sep 0 1; sep 1 2; sep 2 0 ] }
+          in
+          (match Sx.solve lp with
+          | Sx.Infeasible -> ()
+          | r -> Alcotest.failf "two-phase: %a" Sx.pp_result r);
+          match Sx.solve_dual ~max_iter:100 ~reserve:0 lp with
+          | Sx.Infeasible, _ -> ()
+          | r, _ -> Alcotest.failf "expected infeasible, got %a" Sx.pp_result r);
+      Alcotest.test_case "reset needs a saved root" `Quick (fun () ->
+          (* min x + y  s.t. gap_lp's rows and x >= 1 *)
+          let lp =
+            { (with_row (gap_lp ()) 0 Sx.Ge 1.0) with
+              Sx.objective = [| 1.0; 1.0 |] }
+          in
+          let _, w = Sx.solve_dual ~reserve:1 lp in
+          Alcotest.check_raises "reset"
+            (Invalid_argument "Simplex.reset: no saved root")
+            (fun () -> Sx.reset w);
+          Sx.add_bound w 1 Sx.Ge 2.0;
+          Alcotest.check_raises "save after a bound row"
+            (Invalid_argument "Simplex.save_root: bound rows added")
+            (fun () -> Sx.save_root w);
+          check_close "x >= 1, y >= 2"
+            { Sx.x = [| 1.0; 2.0 |]; objective_value = 3.0 }
+            (optimum (Sx.resolve w)));
     ]
 
 (* Reference equivalence of the density kernels: the workspace
@@ -766,5 +1054,6 @@ let suites =
           prop_fom_monotone_spread ] );
     ("simplex.equivalence", equivalence_tests);
     ("ilp.warm", ilp_warm_tests);
+    ("simplex.dual", dual_tests);
     ("density.equivalence", density_equivalence_tests);
   ]
