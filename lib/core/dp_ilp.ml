@@ -21,7 +21,7 @@
    span_e, so its wirelength term is w_e * span_e instead of
    w_e * hi_e - w_e * lo_e. The two are the same LP (span_e >= 0 holds
    at every feasible point, as lo_e <= pin <= hi_e), but every cost is
-   now >= 0, so [Simplex.solve_dual] solves each LP from the slack
+   now >= 0, so [Simplex.solve] solves each LP from the slack
    basis with no phase 1. *)
 
 module CS = Netlist.Constraint_set
@@ -228,7 +228,7 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
           else Some { Sx.coeffs = [ (v, 1.0) ]; op = Sx.Le; rhs = 1.0 })
         (Array.to_list fvar)
     in
-    match Sx.solve_dual ~reserve:!n_flip (lp (fbounds @ base_constraints)) with
+    match Sx.solve ~reserve:!n_flip (lp (fbounds @ base_constraints)) with
     | Sx.Optimal relax, w ->
         Array.iter
           (fun v ->
@@ -243,7 +243,6 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
     | Sx.Optimal s -> Ok (s.Sx.x, 1)
     | Sx.Infeasible -> Error ("infeasible", 1)
     | Sx.Iter_limit -> Error ("iteration-limit", 1)
-    | Sx.Unbounded -> Error ("unbounded", 1)
   in
   let outcome =
     match p.flip with
@@ -255,11 +254,10 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
         in
         match r.I.status with
         | I.Ilp_optimal | I.Ilp_feasible -> Ok (r.I.x, r.I.nodes)
-        | I.Ilp_infeasible -> Error ("infeasible", r.I.nodes)
-        | I.Ilp_unbounded -> Error ("unbounded", r.I.nodes))
+        | I.Ilp_infeasible -> Error ("infeasible", r.I.nodes))
     | Flip_round -> of_lp (solve_round ())
     | Flip_off ->
-        of_lp (fst (Sx.solve_dual ~reserve:0 (lp base_constraints)))
+        of_lp (fst (Sx.solve ~reserve:0 (lp base_constraints)))
   in
   match outcome with
   | Ok (x, nodes) ->
@@ -278,6 +276,8 @@ let solve_axis (p : params) (c : Netlist.Circuit.t) ~(axis : axis)
       None
 
 (* --- public driver --- *)
+
+let fell_back_counter = Telemetry.Counter.make "dp.fell_back"
 
 type result = {
   layout : Netlist.Layout.t;
@@ -310,6 +310,7 @@ let run ?(params = default_params) (c : Netlist.Circuit.t)
     | Some r -> (Some r, false)
     | None -> (attempt ~all_pairs:false, true)
   in
+  Telemetry.Counter.add fell_back_counter (if fell_back then 1 else 0);
   match solved with
   | None -> None
   | Some (rx, ry) ->

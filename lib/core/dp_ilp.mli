@@ -3,7 +3,7 @@
     device flipping, hard symmetry, alignment and ordering constraints,
     solved as two per-axis ILPs (the formulation is separable). Each
     net is a [(hi, span)] pair, so every cost is [>= 0] and the LPs are
-    solved by {!Numerics.Simplex.solve_dual} with no phase 1; only
+    solved by {!Numerics.Simplex.solve} with no phase 1; only
     [Flip_exact] goes through {!Numerics.Ilp}. *)
 
 type flip_strategy =
@@ -22,7 +22,7 @@ type params = {
           the result never depends on host speed *)
   debug : bool;
       (** print per-axis ILP status to stderr when an axis comes back
-          infeasible/unbounded (was the [DP_DEBUG] env var — an
+          infeasible or stopped (was the [DP_DEBUG] env var — an
           explicit flag so cached runs stay a pure function of their
           spec; placer-lint rule C1) *)
 }
@@ -42,4 +42,7 @@ type result = {
 val run :
   ?params:params -> Netlist.Circuit.t -> gp:Netlist.Layout.t -> result option
 (** [run c ~gp] legalizes the global placement [gp]. [None] when both
-    separation plans are infeasible (malformed constraints). *)
+    separation plans are infeasible (malformed constraints). Each call
+    adds 1 to the [dp.fell_back] telemetry counter if the all-pairs
+    closure was infeasible and the overlap-only rule was tried, and 0
+    otherwise. *)

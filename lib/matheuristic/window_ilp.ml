@@ -4,13 +4,16 @@
      x_i = i                 item lower-left x      (0 <= i < k)
      y_i = k + i             item lower-left y
      W   = 2k, H = 2k + 1    envelope
-     net e: Lx = 2k+2+4e, Rx = +1, Ly = +2, Ry = +3
+     net e: Rx = 2k+2+4e, Sx = +1, Ry = +2, Sy = +3
+       R* is the net's right (top) bound and S* its span, so its left
+       (bottom) bound is R* - S*
      pair p = (i,j), i<j, enumerated i-major:
        s_p = bbase + 2p      1 iff i before j in Gamma+
        t_p = bbase + 2p + 1  1 iff i before j in Gamma-
 
    All variables are >= 0 (the simplex convention); binaries get their
-   implicit <= 1 bound from the ILP layer. *)
+   implicit <= 1 bound from the ILP layer. Every cost is >= 0, so each
+   relaxation is solved by dual simplex from the slack basis. *)
 
 type item = { iw : float; ih : float }
 
@@ -49,10 +52,10 @@ let core_problem inst =
   let x_v i = i and y_v i = k + i in
   let w_v = 2 * k and h_v = (2 * k) + 1 in
   let nbase = (2 * k) + 2 in
-  let lx_v e = nbase + (4 * e)
-  and rx_v e = nbase + (4 * e) + 1
-  and ly_v e = nbase + (4 * e) + 2
-  and ry_v e = nbase + (4 * e) + 3 in
+  let rx_v e = nbase + (4 * e)
+  and sx_v e = nbase + (4 * e) + 1
+  and ry_v e = nbase + (4 * e) + 2
+  and sy_v e = nbase + (4 * e) + 3 in
   let n_core = nbase + (4 * m) in
   let rows = ref [] in
   let row coeffs op rhs = rows := { Numerics.Simplex.coeffs; op; rhs } :: !rows in
@@ -72,16 +75,16 @@ let core_problem inst =
         (fun (p : pin) ->
           match p.p_item with
           | Some i ->
-              (* Lx <= x_i + off, Rx >= x_i + off; same in y *)
-              row [ (lx_v e, 1.0); (x_v i, -1.0) ] le p.p_x;
+              (* Rx - Sx <= x_i + off, Rx >= x_i + off; same in y *)
+              row [ (rx_v e, 1.0); (sx_v e, -1.0); (x_v i, -1.0) ] le p.p_x;
               row [ (x_v i, 1.0); (rx_v e, -1.0) ] le (-.p.p_x);
-              row [ (ly_v e, 1.0); (y_v i, -1.0) ] le p.p_y;
+              row [ (ry_v e, 1.0); (sy_v e, -1.0); (y_v i, -1.0) ] le p.p_y;
               row [ (y_v i, 1.0); (ry_v e, -1.0) ] le (-.p.p_y)
           | None ->
               let px = Float.max 0.0 p.p_x and py = Float.max 0.0 p.p_y in
-              row [ (lx_v e, 1.0) ] le px;
+              row [ (rx_v e, 1.0); (sx_v e, -1.0) ] le px;
               row [ (rx_v e, 1.0) ] ge px;
-              row [ (ly_v e, 1.0) ] le py;
+              row [ (ry_v e, 1.0); (sy_v e, -1.0) ] le py;
               row [ (ry_v e, 1.0) ] ge py)
         n.n_pins)
     nets;
@@ -91,10 +94,8 @@ let core_problem inst =
     obj.(h_v) <- inst.area_lambda;
     Array.iteri
       (fun e (n : net) ->
-        obj.(rx_v e) <- obj.(rx_v e) +. n.n_weight;
-        obj.(lx_v e) <- obj.(lx_v e) -. n.n_weight;
-        obj.(ry_v e) <- obj.(ry_v e) +. n.n_weight;
-        obj.(ly_v e) <- obj.(ly_v e) -. n.n_weight)
+        obj.(sx_v e) <- n.n_weight;
+        obj.(sy_v e) <- n.n_weight)
       nets;
     obj
   in
@@ -220,7 +221,7 @@ let solve ?(node_budget = 400) inst =
               | Numerics.Ilp.Ilp_optimal -> true
               | _ -> false);
           }
-    | Numerics.Ilp.Ilp_infeasible | Numerics.Ilp.Ilp_unbounded -> None
+    | Numerics.Ilp.Ilp_infeasible -> None
 
 let lp_for_orders inst ~pos ~neg =
   let k = Array.length inst.items in
@@ -256,8 +257,7 @@ let lp_for_orders inst ~pos ~neg =
       constraints = List.rev !rows;
     }
   in
-  match Numerics.Simplex.solve problem with
-  | Numerics.Simplex.Optimal sol ->
+  match Numerics.Simplex.solve ~reserve:0 problem with
+  | Numerics.Simplex.Optimal sol, _ ->
       Some sol.Numerics.Simplex.objective_value
-  | Numerics.Simplex.Infeasible | Numerics.Simplex.Unbounded
-  | Numerics.Simplex.Iter_limit -> None
+  | (Numerics.Simplex.Infeasible | Numerics.Simplex.Iter_limit), _ -> None

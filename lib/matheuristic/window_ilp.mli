@@ -11,15 +11,19 @@
     - (s,t) = (1,1): left-of, (0,0): right-of, (1,0): above,
       (0,1): below — enforced by big-M non-overlap disjunctions with
       [M = frame_w + frame_h];
-    - HPWL is linearized with per-net min/max bound variables
-      ([Lx <= every pin x], [Rx >= every pin x], same in y), so the
-      objective [sum w_e (Rx-Lx+Ry-Ly) + area_lambda (W+H)] is linear;
+    - HPWL is linearized with a per-net upper bound and span in each
+      axis, [(Rx, Sx)] and [(Ry, Sy)]: the net's lower bound is
+      [Rx - Sx], and the rows are [Rx - Sx <= every pin x <= Rx] (same
+      in y), so the objective [sum w_e (Sx+Sy) + area_lambda (W+H)] is
+      linear with every cost [>= 0] (for [w_e, area_lambda >= 0]). The
+      rewrite of the plain [(Lx, Rx)] form drops only [Lx >= 0], which
+      never binds: item pin offsets and frozen pins are [>= 0];
     - [W]/[H] envelope the window's items.
 
-    Solved with the repo's own {!Numerics.Simplex} relaxations under
-    {!Numerics.Ilp} branch & bound, time-boxed by a node budget only
-    (never wall clock — determinism rule D1), so equal inputs always
-    return equal orders. *)
+    Solved with the repo's own {!Numerics.Simplex} relaxations, dual
+    simplex from the slack basis, under {!Numerics.Ilp} branch & bound,
+    time-boxed by a node budget only (never wall clock — determinism
+    rule D1), so equal inputs always return equal orders. *)
 
 type item = { iw : float; ih : float }
 (** Rigid rectangle (a symmetry island's bounding box). *)
@@ -27,7 +31,8 @@ type item = { iw : float; ih : float }
 type pin = {
   p_item : int option;
       (** [Some i]: the pin rides window item [i], offset from the
-          item's lower-left corner. [None]: frozen pin of the
+          item's lower-left corner (offsets are [>= 0], inside the
+          item). [None]: frozen pin of the
           surrounding placement, in frame coordinates (must be
           non-negative; negative coordinates are clamped to 0). *)
   p_x : float;
@@ -35,6 +40,8 @@ type pin = {
 }
 
 type net = { n_weight : float; n_pins : pin list }
+(** [n_weight >= 0]: a negative weight would be a negative cost, which
+    the solver refuses with [Invalid_argument]. *)
 
 type inst = {
   items : item array;

@@ -1,17 +1,18 @@
 (* Branch and bound over LP relaxations (depth-first with best-bound
    pruning). Binaries get an implicit upper bound of 1. The root
-   relaxation is solved by two-phase simplex; every other node is its
-   root plus the bound rows of its branching path, re-solved by dual
-   simplex on one working tableau ([Simplex.solve_warm]). A child of
-   the node just solved adds its one bound row; any other node (a
-   backtrack) first resets the tableau to the root optimum, saved when
-   the root branches, and adds its whole path. *)
+   relaxation is solved by dual simplex from the slack basis
+   ([Simplex.solve ~reserve]); every other node is its root plus the
+   bound rows of its branching path, re-solved by the same dual loop on
+   the root's working tableau. A child of the node just solved adds its
+   one bound row; any other node (a backtrack) first resets the tableau
+   to the root optimum, saved when the root branches, and adds its
+   whole path. *)
 
 type vartype = Continuous | Integer | Binary
 
 type problem = { base : Simplex.problem; kinds : vartype array }
 
-type status = Ilp_optimal | Ilp_feasible | Ilp_infeasible | Ilp_unbounded
+type status = Ilp_optimal | Ilp_feasible | Ilp_infeasible
 
 type result = {
   status : status;
@@ -67,7 +68,7 @@ let solve ?(max_nodes = 500) (p : problem) =
   let relax node =
     match (node.path, !warm) with
     | [], _ ->
-        let r, w = Simplex.solve_warm ~reserve root in
+        let r, w = Simplex.solve ~reserve root in
         warm := Some w;
         r
     | b :: _, Some w when node.parent = !nodes - 1 ->
@@ -79,7 +80,6 @@ let solve ?(max_nodes = 500) (p : problem) =
         Simplex.resolve w
     | _ :: _, None -> invalid_arg "Ilp.solve: child of an unsolved root"
   in
-  let root_unbounded = ref false in
   let running = ref true in
   while !running do
     match !stack with
@@ -95,11 +95,6 @@ let solve ?(max_nodes = 500) (p : problem) =
           match relax node with
           | Simplex.Infeasible -> ()
           | Simplex.Iter_limit -> truncated := true
-          | Simplex.Unbounded ->
-              if node.parent = 0 then begin
-                root_unbounded := true;
-                stack := []
-              end
           | Simplex.Optimal sol ->
               if sol.Simplex.objective_value >= !incumbent_obj -. 1e-9 then ()
               else begin
@@ -150,7 +145,7 @@ let solve ?(max_nodes = 500) (p : problem) =
         end
   done;
   Telemetry.Counter.add nodes_counter !nodes;
-  if !truncated then Telemetry.Counter.incr truncated_counter;
+  Telemetry.Counter.add truncated_counter (if !truncated then 1 else 0);
   match !incumbent with
   | Some sol ->
       let x = Array.copy sol.Simplex.x in
@@ -169,7 +164,7 @@ let solve ?(max_nodes = 500) (p : problem) =
       }
   | None ->
       {
-        status = (if !root_unbounded then Ilp_unbounded else Ilp_infeasible);
+        status = Ilp_infeasible;
         x = Array.make p.base.Simplex.n_vars 0.0;
         objective_value = infinity;
         nodes = !nodes;

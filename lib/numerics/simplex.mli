@@ -1,27 +1,25 @@
-(** Simplex for linear programs
+(** Simplex for linear programs with nonnegative costs
 
-    {[ minimize c.x  subject to  a_i.x (<= | = | >=) b_i,  x >= 0 ]}
+    {[ minimize c.x  subject to  a_i.x (<= | = | >=) b_i,  x >= 0,  c >= 0 ]}
 
-    Two algorithms solve an LP from scratch. {!solve} is two-phase primal
-    simplex and takes any costs: it powers the window ILPs of the
-    matheuristic and the root relaxations of the ILP branch and bound,
-    whose other nodes are warm-started by dual simplex (see
-    {!section:warm}). {!solve_dual} takes only costs [>= 0] and needs no
-    phase 1: it runs the same dual loop from the slack basis. Both
-    legalizers (ePlace-A's and the prior work's) write their LPs that
-    way and use it. Pricing is Dantzig's rule, with Bland's rule after a
-    stall budget, in the primal and the dual loop alike.
+    One algorithm: dual simplex from the slack basis. {!solve} gives
+    every row its own basic column, so there are no artificials to
+    drive out and no phase 1: with every cost [>= 0] that basis is dual
+    feasible, and the dual loop finishes the LP from it. Every LP in
+    the repository is written that way: both legalizers (ePlace-A's and
+    the prior work's) and the matheuristic's window ILPs write each net
+    as a [(hi, span)] pair, so a wirelength term costs [w * span] and
+    never [-w * lo]. The same loop re-solves the nodes of the ILP branch
+    and bound warm (see {!section:warm}). Pricing is Dantzig's rule (the
+    most infeasible row leaves), with Bland's rule after a stall budget.
 
     The tableau is stored row-major, but the rows it pivots on are
     sparse (a legalization pivot row is ~6 % nonzero), so a pivot
     collects the nonzero columns of the scaled pivot row once and
-    updates every other row, and the reduced costs, only there. A Ge
-    row's artificial column is not stored: it starts as the negated
-    slack column, every pivot keeps that invariant
-    (artificial = -slack), and it is read through a negate flag. Both
-    are exact rewrites of the plain dense tableau: the same pivot
-    sequence and the same bits of [x] (a skipped [r - f * 0] can only
-    differ in the sign of a zero). Each call adds its pivots to the
+    updates every other row, and the reduced costs, only there. This is
+    an exact rewrite of the plain dense tableau: the same pivot sequence
+    and the same bits of [x] (a skipped [r - f * 0] can only differ in
+    the sign of a zero). Each call adds its pivots to the
     [simplex.pivots] telemetry counter. *)
 
 type op = Le | Ge | Eq
@@ -31,67 +29,57 @@ type constr = { coeffs : (int * float) list; op : op; rhs : float }
 
 type problem = {
   n_vars : int;
-  objective : float array;  (** length [n_vars]; minimized *)
+  objective : float array;  (** length [n_vars], every entry [>= 0]; minimized *)
   constraints : constr list;
 }
 
 type solution = { x : float array; objective_value : float }
 
+(** There is no unbounded outcome: [c >= 0] and [x >= 0] bound the
+    objective below by 0. *)
 type result =
   | Optimal of solution
   | Infeasible
-  | Unbounded
   | Iter_limit  (** safety valve; treat as a solver failure *)
-
-val solve : ?max_iter:int -> problem -> result
-(** The ratio test only admits pivot elements with [|pv| > eps], and
-    the pivot routine turns a zero pivot into a hard error rather than
-    a silent [inf]/[nan] tableau (placer-lint rule N2: division and
-    reciprocal scaling are guarded). Degenerate problems — tied ratio
-    tests, redundant constraints through one vertex, Beale-style
-    cycling examples — terminate via the [max_iter] safety valve
-    semantics and are pinned by tests.
-
-    @raise Invalid_argument on malformed input (bad sizes or indices). *)
 
 (** {2:warm Warm starts}
 
     Branch and bound re-solves one LP with a few bound rows added.
     Adding rows leaves the reduced costs alone, so an optimal basis
     stays dual feasible: the new row's slack is basic in it, possibly
-    at a negative value, and dual simplex restores primal feasibility
-    from there without a phase 1 or a rebuild. Only rows are ever
-    added; nothing else may change the working tableau between
-    re-solves, or the basis would lose that dual feasibility. *)
+    at a negative value, and the dual loop that solved the LP from its
+    slack basis restores primal feasibility from there, without a
+    rebuild. Only rows are ever added; nothing else may change the
+    working tableau between re-solves, or the basis would lose that
+    dual feasibility. *)
 
 type warm
-(** An LP solved by {!solve_warm} or {!solve_dual}: its working
-    tableau, with reserved rows and slack columns for bound rows, and,
-    once {!save_root} is called, a copy of the root optimum. *)
+(** An LP solved by {!solve}: its working tableau, with reserved rows
+    and slack columns for bound rows, and, once {!save_root} is called,
+    a copy of the root optimum. *)
 
-val solve_warm : ?max_iter:int -> reserve:int -> problem -> result * warm
-(** [solve] with room for [reserve] bound rows. The reserved slack
-    columns are zero and logically below the artificials, and Bland's
-    switch point counts only the LP's own rows and columns, so the
-    pivots, the bits of the result and the [simplex.pivots] count are
-    those of [solve]. The [warm] is usable only if the result is
-    [Optimal]. *)
-
-val solve_dual : ?max_iter:int -> reserve:int -> problem -> result * warm
+val solve : ?max_iter:int -> reserve:int -> problem -> result * warm
 (** Dual simplex from the slack basis, with room for [reserve] bound
     rows. Every row has its own column basic, at the row's rhs whatever
     its sign: a slack for a [Le] row and for a negated [Ge] row, and
     for an [Eq] row a slack fixed at 0 that never enters and leaves the
-    basis from either side. With every cost [>= 0] that basis is dual
-    feasible, so there is no phase 1. The result is [Optimal],
-    [Infeasible] or [Iter_limit], never [Unbounded]: [c >= 0] and
-    [x >= 0] bound the objective below by 0. An optimum of a
-    degenerate LP may be another vertex than {!solve}'s, at the same
-    objective. The [warm] takes {!add_bound} and {!resolve} as one from
-    {!solve_warm} does, and is usable only if the result is [Optimal].
-    Adds its pivots to [simplex.pivots].
+    basis from either side. The reserved slack columns are zero and
+    never enter a root pivot, and Bland's switch point counts only the
+    LP's own rows and columns, so [~reserve:k] takes the pivots and
+    returns the bits of [~reserve:0].
+
+    The ratio test only admits pivot elements with [|pv| > eps], and
+    the pivot routine turns a zero pivot into a hard error rather than
+    a silent [inf]/[nan] tableau (placer-lint rule N2). Degenerate
+    problems (tied ratios, redundant rows through one vertex, rows
+    that cycle under Dantzig's rule) end under Bland's rule or on the
+    [max_iter] safety valve (default 20000), which counts the
+    iteration that finds the optimum too.
+
+    The [warm] takes {!add_bound} and {!resolve}, and is usable only if
+    the result is [Optimal].
     @raise Invalid_argument on a negative or nan cost, or on malformed
-    input. *)
+    input (bad sizes or indices). *)
 
 val save_root : warm -> unit
 (** Copy the working tableau as the root optimum that {!reset} returns

@@ -7,7 +7,7 @@
 
    As in ePlace-A's legalizer, a net is a pair (hi, span) with
    lo = hi - span, so both stages have costs >= 0 and are solved by
-   dual simplex from the slack basis ([Simplex.solve_dual]). *)
+   dual simplex from the slack basis ([Simplex.solve]). *)
 
 module CS = Netlist.Constraint_set
 module SP = Place_common.Sep_plan
@@ -143,12 +143,12 @@ let solve_axis (c : Netlist.Circuit.t) ~(axis : SP.axis) ~(seps : SP.sep list)
       end)
     cs.CS.orders;
   match
-    Sx.solve_dual ~reserve:0
+    Sx.solve ~reserve:0
       { Sx.n_vars; objective; constraints = List.rev !constraints }
   with
   | Sx.Optimal s, _ ->
       Some (Array.init n (fun i -> s.Sx.x.(i)), s.Sx.x.(extent_var))
-  | (Sx.Infeasible | Sx.Unbounded | Sx.Iter_limit), _ -> None
+  | (Sx.Infeasible | Sx.Iter_limit), _ -> None
 
 type result = { layout : Netlist.Layout.t; runtime_s : float }
 

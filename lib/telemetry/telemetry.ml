@@ -72,6 +72,7 @@ type span = {
 type report = {
   r_spans : (string * int * float) list;  (* name, count, total_s *)
   r_counters : (string * int) list;
+  r_touched : string list;  (* counters added to since the last reset *)
   r_gauges : (string * float) list;
 }
 
@@ -91,7 +92,8 @@ let summary ppf =
             Fmt.pf ppf "%-28s %8d %12.4f@." name count total)
           spans);
     List.iter
-      (fun (name, v) -> Fmt.pf ppf "%-28s %21d@." name v)
+      (fun (name, v) ->
+        if List.mem name r.r_touched then Fmt.pf ppf "%-28s %21d@." name v)
       r.r_counters;
     List.iter
       (fun (name, v) ->
@@ -149,6 +151,7 @@ type agg = { mutable a_count : int; mutable a_total : float }
 
 type collector = {
   mutable c_counters : int array;  (* by counter id *)
+  mutable c_touched : bool array;  (* by counter id: added to, even 0 *)
   mutable c_gauges : float array;  (* by gauge id; nan = unset *)
   c_span_aggs : (string, agg) Hashtbl.t;
   mutable c_finished : span list;  (* newest first *)
@@ -159,6 +162,7 @@ type collector = {
 let new_collector () =
   {
     c_counters = [||];
+    c_touched = [||];
     c_gauges = [||];
     c_span_aggs = Hashtbl.create 32;
     c_finished = [];
@@ -171,15 +175,20 @@ let collector_key : collector Domain.DLS.key =
 
 let cur () = Domain.DLS.get collector_key
 
-let counter_slot col id =
-  let a = col.c_counters in
-  if id < Array.length a then a
-  else begin
-    let bigger = Array.make (max 16 (2 * (id + 1))) 0 in
-    Array.blit a 0 bigger 0 (Array.length a);
-    col.c_counters <- bigger;
-    bigger
-  end
+(* Add [n] to counter [id] and mark it touched, growing both arrays. *)
+let counter_add col id n =
+  if id >= Array.length col.c_counters then begin
+    let len = max 16 (2 * (id + 1)) in
+    let grow a zero =
+      let bigger = Array.make len zero in
+      Array.blit a 0 bigger 0 (Array.length a);
+      bigger
+    in
+    col.c_counters <- grow col.c_counters 0;
+    col.c_touched <- grow col.c_touched false
+  end;
+  col.c_counters.(id) <- col.c_counters.(id) + n;
+  col.c_touched.(id) <- true
 
 let gauge_slot col id =
   let a = col.c_gauges in
@@ -196,10 +205,7 @@ module Counter = struct
 
   let make name = { c_id = intern counter_registry name; c_name = name }
 
-  let add c n =
-    let col = cur () in
-    let a = counter_slot col c.c_id in
-    a.(c.c_id) <- a.(c.c_id) + n
+  let add c n = counter_add (cur ()) c.c_id n
 
   let incr c = add c 1
 
@@ -235,6 +241,7 @@ let reset () =
   col.c_finished <- [];
   col.c_stack <- [];
   Array.fill col.c_counters 0 (Array.length col.c_counters) 0;
+  Array.fill col.c_touched 0 (Array.length col.c_touched) false;
   Array.fill col.c_gauges 0 (Array.length col.c_gauges) nan
 
 module Span = struct
@@ -310,8 +317,13 @@ let flush () =
       (fun (name, a) -> (name, a.a_count, a.a_total))
       (sorted_bindings col.c_span_aggs)
   in
+  let r_touched =
+    List.filteri
+      (fun id _ -> id < Array.length col.c_touched && col.c_touched.(id))
+      (registry_entries counter_registry)
+  in
   col.c_sink.on_flush
-    { r_spans; r_counters = counters (); r_gauges = gauges () }
+    { r_spans; r_counters = counters (); r_touched; r_gauges = gauges () }
 
 (* ----- capture / merge (the pool's join protocol) ----- *)
 
@@ -332,12 +344,8 @@ let capture f =
 let merge snap =
   let col = cur () in
   Array.iteri
-    (fun id v ->
-      if v <> 0 then begin
-        let a = counter_slot col id in
-        a.(id) <- a.(id) + v
-      end)
-    snap.c_counters;
+    (fun id touched -> if touched then counter_add col id snap.c_counters.(id))
+    snap.c_touched;
   Array.iteri
     (fun id v ->
       if not (Float.is_nan v) then begin

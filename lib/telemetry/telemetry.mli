@@ -69,7 +69,10 @@ val noop : sink
 (** The default: collect aggregates, emit nothing. *)
 
 val summary : Format.formatter -> sink
-(** Pretty-prints span totals, counters and gauges on {!flush}. *)
+(** Pretty-prints span totals, counters and gauges on {!flush}. A
+    counter is printed only if it was added to since the last {!reset}
+    (adding 0 counts), so a run lists the counters of the code it ran
+    and not the zeros of every other placer. *)
 
 val jsonl : out_channel -> sink
 (** Streams one JSON line per finished span; {!flush} appends counter
@@ -120,7 +123,8 @@ val capture : (unit -> 'a) -> 'a * snapshot
     snapshot of a raising thunk is discarded). *)
 
 val merge : snapshot -> unit
-(** Fold a snapshot into the current domain's collector: counters add,
+(** Fold a snapshot into the current domain's collector: counters add
+    (a counter the snapshot touched counts as touched here too),
     span aggregates add, gauges are last-write-wins (unset gauges do
     not overwrite), and the captured spans are appended to the trace
     and replayed, oldest first, through the current sink. *)

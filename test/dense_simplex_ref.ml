@@ -1,9 +1,11 @@
-(* Reference kernel for the simplex equivalence property: the plain
-   dense two-phase tableau that [Numerics.Simplex] replaced. Every
-   pivot updates every entry of every row and of the reduced-cost row,
-   and each Ge row stores its own artificial column. [Simplex.solve]
-   must take the same pivots and return the same bits as this code.
-   Test-only; returns the pivot count alongside the result. *)
+(* Reference LP solver for the tests: plain dense two-phase primal
+   simplex, a different algorithm from the dual simplex of
+   [Numerics.Simplex]. Every pivot updates every entry of every row and
+   of the reduced-cost row, and each Ge row stores its own artificial
+   column. The tests compare statuses and objectives with it, and it
+   solves every node of the cold branch-and-bound reference
+   ([Ilp_ref]). Test-only; the tests give it costs >= 0 only, so an
+   unbounded phase 2 is a test bug and raises. *)
 
 module Sx = Numerics.Simplex
 
@@ -16,7 +18,6 @@ type tableau = {
   z : float array;
   basis : int array;
   art_start : int;
-  mutable pivots : int;
 }
 
 let build (p : Sx.problem) =
@@ -63,7 +64,7 @@ let build (p : Sx.problem) =
           basis.(i) <- !art;
           incr art)
     rows;
-  { m; ncols; t; z = Array.make (ncols + 1) 0.0; basis; art_start; pivots = 0 }
+  { m; ncols; t; z = Array.make (ncols + 1) 0.0; basis; art_start }
 
 let price tab c =
   Array.fill tab.z 0 (tab.ncols + 1) 0.0;
@@ -99,8 +100,7 @@ let pivot tab ~row ~col =
     for j = 0 to tab.ncols do
       tab.z.(j) <- tab.z.(j) -. (f *. pr.(j))
     done;
-  tab.basis.(row) <- col;
-  tab.pivots <- tab.pivots + 1
+  tab.basis.(row) <- col
 
 let iterate ~max_iter tab ~allowed =
   let bland_after = 5 * (tab.m + tab.ncols) in
@@ -187,7 +187,7 @@ let run ~max_iter (p : Sx.problem) tab =
         price tab c2;
         match iterate ~max_iter tab ~allowed:(fun j -> j < tab.art_start) with
         | `Iter_limit -> Sx.Iter_limit
-        | `Unbounded -> Sx.Unbounded
+        | `Unbounded -> invalid_arg "Dense_simplex_ref: unbounded"
         | `Optimal ->
             let x = Array.make p.Sx.n_vars 0.0 in
             for i = 0 to tab.m - 1 do
@@ -201,7 +201,4 @@ let run ~max_iter (p : Sx.problem) tab =
             Sx.Optimal { Sx.x; objective_value = !obj }
       end
 
-let solve ?(max_iter = 20000) (p : Sx.problem) =
-  let tab = build p in
-  let r = run ~max_iter p tab in
-  (r, tab.pivots)
+let solve ?(max_iter = 20000) (p : Sx.problem) = run ~max_iter p (build p)

@@ -1,7 +1,9 @@
 (* Reference branch and bound for the warm-start property: the cold
    search that [Numerics.Ilp] replaced. Every node rebuilds its
    relaxation from the full row list (binary bounds, its branching
-   path, the base rows) and solves it with two-phase [Simplex.solve].
+   path, the base rows) and solves it from scratch with the dense
+   two-phase reference kernel ([Dense_simplex_ref]), not the dual
+   simplex that [Numerics.Ilp] runs.
    The node order, branching rule and pruning are those of
    [Numerics.Ilp.solve]; only the way each relaxation is solved
    differs, so statuses and objectives must agree up to rounding.
@@ -14,8 +16,6 @@ let int_tol = 1e-5
 
 let is_integral v = abs_float (v -. Float.round v) <= int_tol
 
-type node = { extra : Sx.constr list; depth : int }
-
 let solve ?(max_nodes = 500) (p : I.problem) =
   let binary_bounds =
     List.concat
@@ -25,19 +25,19 @@ let solve ?(max_nodes = 500) (p : I.problem) =
            | I.Integer | I.Continuous -> []))
   in
   let relax extra =
-    Sx.solve
+    Dense_simplex_ref.solve
       { p.I.base with
         Sx.constraints = binary_bounds @ extra @ p.I.base.Sx.constraints }
   in
   let incumbent = ref None and incumbent_obj = ref infinity in
   let nodes = ref 0 and truncated = ref false in
-  let stack = ref [ { extra = []; depth = 0 } ] in
-  let root_unbounded = ref false in
+  (* a node is its branching rows, newest first *)
+  let stack = ref [ [] ] in
   let running = ref true in
   while !running do
     match !stack with
     | [] -> running := false
-    | node :: rest -> (
+    | extra :: rest -> (
         stack := rest;
         if !nodes >= max_nodes then begin
           truncated := true;
@@ -45,14 +45,9 @@ let solve ?(max_nodes = 500) (p : I.problem) =
         end
         else begin
           incr nodes;
-          match relax node.extra with
+          match relax extra with
           | Sx.Infeasible -> ()
           | Sx.Iter_limit -> truncated := true
-          | Sx.Unbounded ->
-              if node.depth = 0 then begin
-                root_unbounded := true;
-                stack := []
-              end
           | Sx.Optimal sol ->
               if sol.Sx.objective_value < !incumbent_obj -. 1e-9 then begin
                 let frac j = abs_float (sol.Sx.x.(j) -. Float.round sol.Sx.x.(j)) in
@@ -76,7 +71,7 @@ let solve ?(max_nodes = 500) (p : I.problem) =
                   let j = !pick in
                   let v = sol.Sx.x.(j) in
                   let row op rhs = { Sx.coeffs = [ (j, 1.0) ]; op; rhs } in
-                  let child r = { extra = r :: node.extra; depth = node.depth + 1 } in
+                  let child r = r :: extra in
                   let down = child (row Sx.Le (Float.floor v))
                   and up = child (row Sx.Ge (Float.ceil v)) in
                   stack :=
@@ -98,6 +93,6 @@ let solve ?(max_nodes = 500) (p : I.problem) =
       { I.status = (if !truncated then I.Ilp_feasible else I.Ilp_optimal);
         x; objective_value = sol.Sx.objective_value; nodes = !nodes }
   | None ->
-      { I.status = (if !root_unbounded then I.Ilp_unbounded else I.Ilp_infeasible);
+      { I.status = I.Ilp_infeasible;
         x = Array.make p.I.base.Sx.n_vars 0.0;
         objective_value = infinity; nodes = !nodes }

@@ -117,7 +117,7 @@ let simplex_tests =
               ];
           }
         in
-        match Sx.solve p with
+        match fst (Sx.solve ~reserve:0 p) with
         | Sx.Optimal s ->
             checkf ~eps:1e-7 "x" 3.0 s.Sx.x.(0);
             checkf ~eps:1e-7 "y" 1.0 s.Sx.x.(1)
@@ -134,7 +134,7 @@ let simplex_tests =
               ];
           }
         in
-        match Sx.solve p with
+        match fst (Sx.solve ~reserve:0 p) with
         | Sx.Optimal s -> checkf ~eps:1e-7 "obj" 3.0 s.Sx.objective_value
         | r -> Alcotest.failf "unexpected %a" Sx.pp_result r);
     Alcotest.test_case "zero-variable objective works" `Quick (fun () ->
@@ -146,7 +146,7 @@ let simplex_tests =
               [ { Sx.coeffs = [ (0, 1.0) ]; op = Sx.Le; rhs = 5.0 } ];
           }
         in
-        match Sx.solve p with
+        match fst (Sx.solve ~reserve:0 p) with
         | Sx.Optimal s -> checkf "obj" 0.0 s.Sx.objective_value
         | r -> Alcotest.failf "unexpected %a" Sx.pp_result r);
     Alcotest.test_case "bad variable index rejected" `Quick (fun () ->
@@ -160,7 +160,7 @@ let simplex_tests =
         in
         let raised =
           try
-            ignore (Sx.solve p);
+            ignore (Sx.solve ~reserve:0 p);
             false
           with Invalid_argument _ -> true
         in

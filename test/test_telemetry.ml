@@ -145,6 +145,43 @@ let sink_tests =
              (fun l ->
                contains l "\"type\":\"gauge\"" && contains l "\"j.gauge\"")
              lines));
+    Alcotest.test_case "summary sink prints only touched counters" `Quick
+      (fun () ->
+        let touched = Telemetry.Counter.make "s.touched"
+        and zero = Telemetry.Counter.make "s.zero"
+        and task = Telemetry.Counter.make "s.task"
+        and _untouched = Telemetry.Counter.make "s.untouched" in
+        (* the same report whether the tasks ran serially or on two
+           domains: a task that adds 0 touches its counter either way *)
+        let summary () =
+          let b = Buffer.create 256 in
+          let ppf = Format.formatter_of_buffer b in
+          Telemetry.set_sink (Telemetry.summary ppf);
+          Telemetry.flush ();
+          Telemetry.set_sink Telemetry.noop;
+          Format.pp_print_flush ppf ();
+          Buffer.contents b
+        in
+        let report jobs =
+          Telemetry.reset ();
+          Telemetry.Counter.add touched 2;
+          Telemetry.Counter.add zero 0;
+          Pool.with_pool ~jobs (fun pool ->
+              ignore
+                (Pool.map pool (fun k -> Telemetry.Counter.add task (k * 0)) [| 1; 2; 3 |]));
+          summary ()
+        in
+        let serial = report 1 in
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (name ^ " printed") true (contains serial name))
+          [ "s.touched"; "s.zero"; "s.task" ];
+        Alcotest.(check bool) "untouched counter skipped" false
+          (contains serial "s.untouched");
+        Alcotest.(check string) "-j 1 = -j 2" serial (report 2);
+        Telemetry.reset ();
+        Alcotest.(check bool) "reset clears touched" false
+          (contains (summary ()) "s.zero"));
     Alcotest.test_case "placer result is identical under any sink" `Quick
       (fun () ->
         let c = Circuits.Testcases.get_exn "Comp1" in
